@@ -29,8 +29,7 @@ use crate::{Graph, Partition};
 /// returned by [`QualityFunction::move_tolerance`], which scales this constant
 /// to the gain units of the quality function in use. Keeping one named
 /// constant (instead of scattered magic numbers) makes the accept decision
-/// identical across the static refinement, the streaming twin and the
-/// engine-backed path.
+/// identical across the static refinement and the streaming twin.
 pub const MOVE_EPSILON: f64 = 1e-12;
 
 /// The quality function optimized by the refinement, multilevel and streaming
@@ -135,9 +134,30 @@ impl QualityFunction {
     /// gain on a graph whose weights are uniformly tiny.
     #[inline]
     pub fn move_tolerance(&self, two_m: f64) -> f64 {
+        MOVE_EPSILON * self.gain_unit(two_m)
+    }
+
+    /// The pass-stop threshold of every refinement sweep: a pass whose total
+    /// gain falls below it ends the sweep. `min_gain` is dimensionless (the
+    /// refinement's configured minimum gain per pass) and is scaled to the
+    /// gain units of this quality function exactly like
+    /// [`QualityFunction::move_tolerance`] — unchanged for modularity, times
+    /// `2m` for CPM — so the number of passes, and with it the refined
+    /// partition, is invariant under uniform edge-weight rescaling.
+    #[inline]
+    pub fn pass_gain_threshold(&self, min_gain: f64, two_m: f64) -> f64 {
+        min_gain * self.gain_unit(two_m)
+    }
+
+    /// The unit a gain of this quality function is measured in, relative to
+    /// the dimensionless modularity gain: exactly 1 for modularity (so the
+    /// scaled thresholds are bit-identical to the bare constants), `2m` for
+    /// CPM.
+    #[inline]
+    fn gain_unit(&self, two_m: f64) -> f64 {
         match self {
-            QualityFunction::Modularity { .. } => MOVE_EPSILON,
-            QualityFunction::Cpm { .. } => MOVE_EPSILON * two_m,
+            QualityFunction::Modularity { .. } => 1.0,
+            QualityFunction::Cpm { .. } => two_m,
         }
     }
 
@@ -160,8 +180,8 @@ impl QualityFunction {
     /// where the aggregates are community node counts.
     ///
     /// This is the **single source of truth** for the gain arithmetic: both
-    /// [`ModularityState::gain_from_weights`] (and through it every static
-    /// refinement path) and the streaming detector's incremental twin evaluate
+    /// [`NeighborScan`] (and through it every refinement path, static and
+    /// streaming) and [`ModularityState::gain_from_weights`] evaluate
     /// candidates through this function, so their decisions stay bit-identical
     /// by construction — the invariant the stream ↔ `refine_frontier`
     /// conformance tests pin. At `γ = 1` the modularity branch is bit-identical
@@ -382,8 +402,9 @@ pub fn louvain_gain(
 }
 
 /// Reusable scratch for the deterministic one-pass best-move scan shared by
-/// the static frontier refinement (`qhdcd-core`) and the streaming detector's
-/// incremental twin (`qhdcd-stream`).
+/// every refinement path: the whole-graph and frontier refinements
+/// (`qhdcd-core`) and the streaming detector's incremental twin
+/// (`qhdcd-stream`).
 ///
 /// One pass over a node's adjacency accumulates its edge weight into every
 /// neighbouring community (`weight`, valid where `stamp` matches the current
@@ -682,22 +703,6 @@ impl ModularityState {
         self.quality_fn
     }
 
-    /// Weight from `node` to each community in its neighbourhood, returned as
-    /// `(community, weight)` pairs in ascending community order (a
-    /// deterministic order, so gain ties in [`ModularityState::best_move`]
-    /// always resolve the same way across runs), along with the weight to its
-    /// own community excluding self-loops.
-    fn neighbor_community_weights(&self, graph: &Graph, node: usize) -> Vec<(usize, f64)> {
-        let mut acc: std::collections::BTreeMap<usize, f64> = std::collections::BTreeMap::new();
-        for (v, w) in graph.neighbors(node) {
-            if v == node {
-                continue;
-            }
-            *acc.entry(self.labels[v]).or_insert(0.0) += w;
-        }
-        acc.into_iter().collect()
-    }
-
     /// Quality gain of moving `node` from its current community to `target`.
     ///
     /// Uses the single-source-of-truth gain formula
@@ -743,13 +748,11 @@ impl ModularityState {
     /// `k_i_cur` / `k_i_target` its edge weight into the current and target
     /// community (self-loops excluded).
     ///
-    /// This is the O(1) half of the gain; callers that accumulate the
+    /// This is the O(1) half of the gain, for callers that accumulate the
     /// neighbour-community weights for *all* candidate communities in one pass
-    /// over the adjacency (the frontier refinement, the streaming detector)
-    /// evaluate every candidate through this instead of re-scanning the
-    /// neighbourhood per candidate. As long as the weights are accumulated in
-    /// neighbour order, the result is bit-identical to
-    /// [`ModularityState::gain`].
+    /// over the adjacency instead of re-scanning the neighbourhood per
+    /// candidate. As long as the weights are accumulated in neighbour order,
+    /// the result is bit-identical to [`ModularityState::gain`].
     ///
     /// Both `cur` and `target` may lie beyond the tracked community slots;
     /// either is then priced as an empty community with aggregate 0,
@@ -795,27 +798,6 @@ impl ModularityState {
         )
     }
 
-    /// Finds the neighbouring community with the best positive gain for `node`,
-    /// if any, returning `(community, gain)`. Candidates are scanned in
-    /// ascending community order and only a strictly better gain displaces the
-    /// incumbent, so exact gain ties deterministically resolve to the lowest
-    /// community id. Moves are accepted only above
-    /// [`QualityFunction::move_tolerance`].
-    pub fn best_move(&self, graph: &Graph, node: usize) -> Option<(usize, f64)> {
-        let tolerance = self.quality_fn.move_tolerance(self.two_m);
-        let mut best: Option<(usize, f64)> = None;
-        for (c, _) in self.neighbor_community_weights(graph, node) {
-            if c == self.labels[node] {
-                continue;
-            }
-            let g = self.gain(graph, node, c);
-            if g > best.map_or(0.0, |(_, bg)| bg) && g > tolerance {
-                best = Some((c, g));
-            }
-        }
-        best
-    }
-
     /// Applies the move of `node` to `target`, updating the internal totals.
     /// A target beyond the tracked community slots grows the aggregate vector
     /// on demand (intermediate slots start empty) — the companion of the
@@ -857,6 +839,26 @@ mod tests {
             [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)],
         )
         .unwrap()
+    }
+
+    /// The refinement's move decision for `node`: the shared one-pass scan fed
+    /// the state's labels and aggregates.
+    fn scan_best_move(
+        scan: &mut NeighborScan,
+        graph: &Graph,
+        state: &ModularityState,
+        node: usize,
+    ) -> Option<(usize, f64)> {
+        scan.best_move_with_quality_weighted(
+            node,
+            graph.neighbors(node),
+            state.labels(),
+            graph.degree(node),
+            graph.node_weight(node),
+            state.two_m(),
+            state.sigma_tot(),
+            state.quality_function(),
+        )
     }
 
     fn two_triangles_weighted(weight: f64) -> Graph {
@@ -1061,12 +1063,13 @@ mod tests {
         let g = two_triangles();
         let p = Partition::singletons(6);
         let mut state = ModularityState::new(&g, &p);
+        let mut scan = NeighborScan::new();
         // Greedily apply best moves and check modularity never decreases.
         let mut q = modularity(&g, &state.to_partition());
         for _ in 0..10 {
             let mut moved_any = false;
             for node in 0..6 {
-                if let Some((c, gain)) = state.best_move(&g, node) {
+                if let Some((c, gain)) = scan_best_move(&mut scan, &g, &state, node) {
                     state.apply_move(&g, node, c);
                     let q_new = modularity(&g, &state.to_partition());
                     assert!((q_new - (q + gain)).abs() < 1e-9);
@@ -1089,10 +1092,11 @@ mod tests {
         // at weight 1.0 and weight 1e-9 are identical.
         let refine = |graph: &Graph, qf: QualityFunction| {
             let mut state = ModularityState::with_quality(graph, &Partition::singletons(6), qf);
+            let mut scan = NeighborScan::new();
             for _ in 0..10 {
                 let mut moved_any = false;
                 for node in 0..6 {
-                    if let Some((c, _)) = state.best_move(graph, node) {
+                    if let Some((c, _)) = scan_best_move(&mut scan, graph, &state, node) {
                         state.apply_move(graph, node, c);
                         moved_any = true;
                     }
@@ -1152,13 +1156,15 @@ mod tests {
     }
 
     #[test]
-    fn best_move_ties_resolve_to_the_lowest_community() {
+    fn best_move_ties_resolve_to_the_first_seen_community() {
         // Path 1 — 0 — 2 with singleton communities: moving node 0 into
         // community 1 or 2 has exactly the same gain by symmetry, so the
-        // deterministic candidate order must pick the lower community id.
+        // strict-improvement scan must keep the candidate its neighbour order
+        // reaches first (node 1, community 1).
         let g = GraphBuilder::from_unweighted_edges(3, [(0, 1), (0, 2)]).unwrap();
         let state = ModularityState::new(&g, &Partition::from_labels(vec![0, 1, 2]).unwrap());
-        let (community, gain) = state.best_move(&g, 0).unwrap();
+        assert_eq!(g.neighbors(0).map(|(v, _)| v).collect::<Vec<_>>(), [1, 2], "order premise");
+        let (community, gain) = scan_best_move(&mut NeighborScan::new(), &g, &state, 0).unwrap();
         assert!((state.gain(&g, 0, 1) - state.gain(&g, 0, 2)).abs() < 1e-15, "tie premise");
         assert_eq!(community, 1);
         assert!(gain > 0.0);

@@ -516,17 +516,21 @@ impl StreamingDetector {
     /// Localized reassign refinement over `frontier`, mirroring
     /// `qhdcd_core::refine::refine_frontier` move for move (ascending node
     /// order, candidate communities in ascending neighbour order, strict
-    /// improvement, the shared quality-scaled move tolerance) while patching
-    /// `Σtot`/`Σin` per move instead of rebuilding any state. Returns
-    /// `(moves, passes)`.
+    /// improvement, the shared quality-scaled move tolerance and pass-stop
+    /// threshold) while patching `Σtot`/`Σin` per move instead of rebuilding
+    /// any state. Returns `(moves, passes)`.
     fn refine_localized(&mut self, frontier: &BTreeSet<NodeId>) -> (usize, usize) {
         if self.graph.total_edge_weight() <= 0.0 {
             return (0, 0);
         }
+        let refine = self.config.refine;
+        let stop_below = refine
+            .quality
+            .pass_gain_threshold(refine.min_gain, 2.0 * self.graph.total_edge_weight());
         let mut worklist = frontier.clone();
         let mut moves = 0usize;
         let mut passes = 0usize;
-        for _ in 0..self.config.refine.max_passes {
+        for _ in 0..refine.max_passes {
             if worklist.is_empty() {
                 break;
             }
@@ -545,7 +549,7 @@ impl StreamingDetector {
                 }
             }
             worklist = next;
-            if pass_gain < self.config.refine.min_gain {
+            if pass_gain < stop_below {
                 break;
             }
         }

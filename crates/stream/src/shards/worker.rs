@@ -109,8 +109,10 @@ fn two_phase_refine(
     if detector.graph().total_edge_weight() <= 0.0 {
         return (0, 0);
     }
-    let max_passes = detector.config().refine.max_passes;
-    let min_gain = detector.config().refine.min_gain;
+    let refine = detector.config().refine;
+    let stop_below = refine
+        .quality
+        .pass_gain_threshold(refine.min_gain, 2.0 * detector.graph().total_edge_weight());
     let mut worklist = frontier.clone();
     let mut moves = 0usize;
     let mut passes = 0usize;
@@ -119,7 +121,7 @@ fn two_phase_refine(
     let mut last_touched: Vec<u64> = vec![0; detector.sigma_tot().len()];
     let mut move_counter: u64 = 0;
     let mut scan = modularity::NeighborScan::new();
-    for _ in 0..max_passes {
+    for _ in 0..refine.max_passes {
         if worklist.is_empty() {
             break;
         }
@@ -152,7 +154,7 @@ fn two_phase_refine(
             }
         }
         worklist = next;
-        if pass_gain < min_gain {
+        if pass_gain < stop_below {
             break;
         }
     }
