@@ -167,14 +167,7 @@ pub fn detect_bounded<S: QuboSolver>(
 
     // --- Coarsening phase.
     let hierarchy = coarsen_hierarchy(graph, &config.coarsen)?;
-    let coarsest_owned;
-    let coarsest: &Graph = match hierarchy.coarsest() {
-        Some(g) => g,
-        None => {
-            coarsest_owned = graph.clone();
-            &coarsest_owned
-        }
-    };
+    let coarsest = hierarchy.coarsest().unwrap_or(graph);
     let coarsest_nodes = coarsest.num_nodes();
 
     // --- Initial partition on the coarsest graph via the direct QUBO pipeline.
