@@ -1,15 +1,16 @@
-//! Shard-scaling benchmark: the sharded streaming service at 1, 2 and 8
-//! shards over the identical event sequence.
+//! Shard-scaling benchmark: the streaming service at 1, 2 and 8 shards over
+//! the identical event sequence.
 //!
 //! A 5 000-node planted-partition graph absorbs batches of churn through a
-//! `ShardedService` at each shard count. Per-batch ingest latency is timed
+//! `StreamingService` at each `ServiceConfig::shards` count. Per-batch ingest latency is timed
 //! for every count, and **bit-identity is asserted inside the bench** before
 //! any ratio is reported: the final partition, maintained quality bits and
 //! the checkpoint base bytes must agree across all shard counts (the shard
 //! count is a deployment knob, never a semantic one).
 //!
-//! The shard workers parallelize the propose phase of refinement with scoped
-//! threads, so the ratios below are honest about hardware: on a single-core
+//! At one shard the service refines sequentially; at more, the shard workers
+//! parallelize the propose phase of refinement with scoped threads, so the
+//! ratios below are honest about hardware: on a single-core
 //! container the extra shards can only add thread overhead, and the gate is
 //! correctness plus bounded overhead rather than speedup. The
 //! machine-readable summary between `BENCH_JSON_BEGIN`/`BENCH_JSON_END` is
@@ -21,7 +22,7 @@
 
 use qhdcd_core::CommunityDetector;
 use qhdcd_graph::{generators, DynamicGraph, EdgeEvent};
-use qhdcd_stream::{ShardManifest, ShardedConfig, ShardedService, StreamingDetector};
+use qhdcd_stream::{ServiceConfig, ShardManifest, StreamingDetector, StreamingService};
 use std::time::Instant;
 
 const NUM_NODES: usize = 5_000;
@@ -100,7 +101,7 @@ fn main() {
     let mut medians: Vec<(usize, f64)> = Vec::new();
     let mut reference: Option<(u64, qhdcd_graph::Partition, String)> = None;
     for &shards in &SHARD_COUNTS {
-        let mut config = ShardedConfig { shards, ..ShardedConfig::default() }.with_seed(SEED);
+        let mut config = ServiceConfig { shards, ..ServiceConfig::default() }.with_seed(SEED);
         config.stream.detector = detector_config.clone();
         let detector = StreamingDetector::from_partition(
             DynamicGraph::from_graph(&pg.graph),
@@ -109,7 +110,7 @@ fn main() {
         )
         .expect("valid streaming configuration");
         let mut service =
-            ShardedService::from_detector(detector, config).expect("valid sharded configuration");
+            StreamingService::from_detector(detector, config).expect("valid service configuration");
 
         let mut batch_ms = Vec::with_capacity(BATCHES);
         for batch in &batches {
@@ -127,10 +128,15 @@ fn main() {
         // checkpoint base bytes must not depend on the shard count.
         let q_bits = service.detector().modularity().to_bits();
         let partition = service.detector().partition();
-        let base = ShardManifest::from_text(&service.checkpoint())
-            .expect("own manifest parses")
-            .base_text()
-            .to_string();
+        let checkpoint = service.checkpoint();
+        let base = if shards == 1 {
+            checkpoint
+        } else {
+            ShardManifest::from_text(&checkpoint)
+                .expect("own manifest parses")
+                .base_text()
+                .to_string()
+        };
         match &reference {
             None => reference = Some((q_bits, partition, base)),
             Some((ref_bits, ref_partition, ref_base)) => {

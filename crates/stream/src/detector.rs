@@ -155,8 +155,8 @@ pub struct StreamStats {
 /// [`StreamingDetector::apply_events_with`]: given the dirty frontier of a
 /// just-applied batch, perform the refinement and return `(moves, passes)`.
 ///
-/// The default driver runs the sequential localized refinement; the sharded
-/// service substitutes a two-phase parallel-propose / sequential-commit driver
+/// The default driver runs the sequential localized refinement; a service
+/// with more than one shard substitutes a two-phase parallel-propose / sequential-commit driver
 /// that is pinned bit-identical to the sequential one. Whatever the driver
 /// does, the epoch fallback (full warm re-detect) stays inside the detector —
 /// drivers are only notified through
@@ -575,7 +575,7 @@ impl StreamingDetector {
 
     /// The read-only form of [`StreamingDetector::best_move`] with an external
     /// scratch scan, usable from several threads at once against the same
-    /// `&self` — the sharded service's parallel proposal phase runs this with
+    /// `&self` — the shard workers' parallel proposal phase runs this with
     /// one [`modularity::NeighborScan`] per shard worker. Byte-for-byte the
     /// same decision procedure as the sequential path (it *is* the sequential
     /// path; `best_move` delegates here).

@@ -48,9 +48,9 @@ pub struct FaultPlan {
     /// describes the whole scenario.
     pub storm_bursts: Vec<usize>,
     /// Panic inside the shard worker of shard `.1` while routing batch `.0`
-    /// of a sharded service — simulates a shard crash. The shard degrades to
-    /// read-only; the fault is consumed once it fires. Ignored by the
-    /// unsharded [`StreamingService`](crate::StreamingService).
+    /// of a service with more than one shard — simulates a shard crash. The
+    /// shard degrades to read-only; the fault is consumed once it fires.
+    /// Ignored at one shard.
     pub kill_shard_at: Option<(u64, usize)>,
     validation_consumed: AtomicBool,
     truncation_consumed: AtomicBool,
@@ -125,8 +125,8 @@ impl FaultPlan {
     }
 
     /// Which shard (if any) should panic while routing batch `batch`.
-    /// Consumes the fault: exactly one kill fires, after which the sharded
-    /// service keeps the shard dead on its own.
+    /// Consumes the fault: exactly one kill fires, after which the service
+    /// keeps the shard dead on its own.
     pub fn kills_shard_at(&self, batch: u64) -> Option<usize> {
         match self.kill_shard_at {
             Some((b, shard)) if b == batch => {

@@ -32,9 +32,9 @@
 //!   snapshot reads (module [`snapshot`]), bounded-queue ingestion with
 //!   backpressure, and bit-exact checkpoint/replay crash recovery (module
 //!   [`checkpoint`]).
-//! * **Sharded service.** [`ShardedService`] (module [`shards`]) scales the
-//!   service across community-owning shard workers with a two-phase
-//!   refinement that is bit-identical to the unsharded service for any shard
+//! * **Shards.** [`ServiceConfig::shards`] spreads the same service over
+//!   community-owning shard workers (module [`shards`]) with a two-phase
+//!   refinement that is bit-identical to the 1-shard service for any shard
 //!   count, deterministic event routing, per-shard checkpoint manifests, and
 //!   shard-level fault containment.
 //!
@@ -85,7 +85,7 @@ pub use error::StreamError;
 pub use service::{
     BackoffPolicy, CheckpointStore, DeadLetter, ServiceClient, ServiceConfig, StreamingService,
 };
-pub use shards::{ShardManifest, ShardedConfig, ShardedService};
+pub use shards::ShardManifest;
 pub use snapshot::{PartitionSnapshot, SnapshotReader};
 
 // The dynamic-graph layer is re-exported so that streaming applications only

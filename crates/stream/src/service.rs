@@ -29,8 +29,22 @@
 //! rejected as a whole and mutates nothing, so the journal always mirrors the
 //! applied state exactly — a prefix-applied batch would otherwise diverge
 //! from its journal entry and break replay.
+//!
+//! # Shards
+//!
+//! [`ServiceConfig::shards`] spreads refinement over shard workers that own
+//! whole communities (see [`crate::shards`]). Every shard count runs the same
+//! ingestion path, quarantine loop, store mirroring and replay; the count
+//! only picks the refinement driver and the checkpoint format. At one shard
+//! the service runs the detector's sequential refinement and checkpoints a
+//! plain [`ServiceCheckpoint`]; at more it refines in two phases, journals
+//! each event on its owning shards, and checkpoints a [`ShardManifest`] whose
+//! base section is that same text, recovered with
+//! [`StreamingService::recover_sharded`]. Partitions, maintained quality bits
+//! and base checkpoint bytes are identical at every shard count.
 
 use crate::checkpoint::{EventJournal, ServiceCheckpoint};
+use crate::shards::{ShardManifest, ShardSet};
 use crate::snapshot::{PartitionSnapshot, SnapshotPublisher, SnapshotReader};
 use crate::{StreamConfig, StreamError, StreamStats, StreamingDetector};
 use qhdcd_graph::{DynamicGraph, EdgeEvent, GraphError};
@@ -62,6 +76,11 @@ pub struct ServiceConfig {
     /// a single poisoned batch can never wedge the queue or kill the writer
     /// loop.
     pub max_validation_attempts: u32,
+    /// Number of shard workers refining the partition. Must be positive.
+    /// `1` (the default) refines sequentially; any other count is pinned
+    /// bit-identical to it and only changes parallelism, fault domains and
+    /// the checkpoint format (see the [module docs](self#shards)).
+    pub shards: usize,
 }
 
 impl Default for ServiceConfig {
@@ -72,6 +91,7 @@ impl Default for ServiceConfig {
             max_batch: 256,
             checkpoint_every: 0,
             max_validation_attempts: 0,
+            shards: 1,
         }
     }
 }
@@ -87,8 +107,9 @@ impl ServiceConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`StreamError::InvalidConfig`] for a zero queue capacity or
-    /// batch size, and propagates [`StreamConfig::validate`] errors.
+    /// Returns [`StreamError::InvalidConfig`] for a zero queue capacity,
+    /// batch size or shard count, and propagates [`StreamConfig::validate`]
+    /// errors.
     pub fn validate(&self) -> Result<(), StreamError> {
         self.stream.validate()?;
         if self.queue_capacity == 0 {
@@ -96,6 +117,9 @@ impl ServiceConfig {
         }
         if self.max_batch == 0 {
             return Err(StreamError::InvalidConfig { reason: "max_batch must be > 0".into() });
+        }
+        if self.shards == 0 {
+            return Err(StreamError::InvalidConfig { reason: "shards must be > 0".into() });
         }
         Ok(())
     }
@@ -112,10 +136,9 @@ struct QueueState {
 ///
 /// `depth` mirrors `events.len()` so that clients can probe backpressure
 /// without taking the lock; the mutex guards only enqueue/dequeue, never the
-/// snapshot read path. Shared with the sharded service, which reuses the same
-/// queue/client machinery around its own writer.
+/// snapshot read path.
 #[derive(Debug)]
-pub(crate) struct EventQueue {
+struct EventQueue {
     state: Mutex<QueueState>,
     depth: AtomicUsize,
     capacity: usize,
@@ -126,7 +149,7 @@ pub(crate) struct EventQueue {
 }
 
 impl EventQueue {
-    pub(crate) fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         EventQueue {
             state: Mutex::new(QueueState { events: VecDeque::new(), closed: false }),
             depth: AtomicUsize::new(0),
@@ -145,7 +168,7 @@ impl EventQueue {
     /// [`Drop`] — the latter is what turns a dead writer (panicked thread,
     /// dropped service) into prompt [`StreamError::ServiceClosed`] errors for
     /// blocked [`ServiceClient::submit`] callers instead of a deadlock.
-    pub(crate) fn close(&self) {
+    fn close(&self) {
         let mut state = self.lock();
         state.closed = true;
         drop(state);
@@ -154,9 +177,8 @@ impl EventQueue {
     }
 
     /// Drains up to `max` queued events in submission order and wakes blocked
-    /// submitters when space was freed — the writer-loop dequeue shared by the
-    /// unsharded and sharded services.
-    pub(crate) fn drain_batch(&self, max: usize) -> Vec<EdgeEvent> {
+    /// submitters when space was freed.
+    fn drain_batch(&self, max: usize) -> Vec<EdgeEvent> {
         let mut state = self.lock();
         let take = state.events.len().min(max);
         let batch: Vec<EdgeEvent> = state.events.drain(..take).collect();
@@ -178,12 +200,6 @@ pub struct ServiceClient {
 }
 
 impl ServiceClient {
-    /// Assembles a client from its parts (used by the sharded service, which
-    /// shares the queue/snapshot machinery).
-    pub(crate) fn from_parts(queue: Arc<EventQueue>, reader: SnapshotReader) -> Self {
-        ServiceClient { queue, reader }
-    }
-
     /// Enqueues `events` if the whole batch fits, never blocking.
     ///
     /// # Errors
@@ -389,6 +405,7 @@ pub struct DeadLetter {
 struct StoreState {
     checkpoint: Option<String>,
     journal: String,
+    shard_journals: Vec<String>,
 }
 
 /// A shared, crash-surviving home for the latest checkpoint and journal text.
@@ -396,8 +413,9 @@ struct StoreState {
 /// The service only keeps its recovery state (`latest_checkpoint`, journal)
 /// in fields of its own — state that dies with the writer thread when it
 /// panics. Attaching a store ([`StreamingService::attach_store`]) mirrors the
-/// checkpoint at every refresh and the journal after every applied batch into
-/// this handle, which the supervising side holds on to; after a writer death
+/// checkpoint at every refresh and the journal (plus, at more than one shard,
+/// every shard's journal) after every applied batch into this handle, which
+/// the supervising side holds on to; after a writer death
 /// [`StreamingService::resume_from_store`] rebuilds a bit-identical service
 /// from it while existing [`SnapshotReader`]s keep serving the last published
 /// epoch (degraded read-only mode).
@@ -432,21 +450,52 @@ impl CheckpointStore {
         self.lock().journal.clone()
     }
 
+    /// The most recently recorded shard journal logs, in shard order (empty
+    /// for a 1-shard service).
+    pub fn shard_journal_logs(&self) -> Vec<String> {
+        self.lock().shard_journals.clone()
+    }
+
     fn record_checkpoint(&self, text: &str) {
         self.lock().checkpoint = Some(text.to_string());
     }
 
-    fn record_journal(&self, log: String) {
-        self.lock().journal = log;
+    /// Records the global and shard journals under one lock, so a writer
+    /// dying between the two can never leave them from different batches.
+    fn record_journals(&self, log: String, shard_logs: Vec<String>) {
+        let mut state = self.lock();
+        state.journal = log;
+        state.shard_journals = shard_logs;
     }
 }
 
-/// A long-running streaming community-detection service. See the module docs
-/// for the architecture.
+/// A long-running streaming community-detection service at any shard count.
+/// See the module docs for the architecture.
+///
+/// # Example
+///
+/// ```
+/// use qhdcd_graph::{generators, DynamicGraph, EdgeEvent};
+/// use qhdcd_stream::{ServiceConfig, StreamingService};
+///
+/// # fn main() -> Result<(), qhdcd_stream::StreamError> {
+/// let graph = DynamicGraph::from_graph(&generators::karate_club());
+/// let mut service = StreamingService::new(
+///     graph,
+///     ServiceConfig { shards: 4, ..ServiceConfig::default() }.with_seed(1),
+/// )?;
+/// service.ingest(&[EdgeEvent::Add { u: 0, v: 33, weight: 1.0 }])?;
+/// assert_eq!(service.epoch(), 1);
+/// assert_eq!(service.shard_journal_logs().len(), 4);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug)]
 pub struct StreamingService {
     detector: StreamingDetector,
     config: ServiceConfig,
+    /// The shard layer; `None` at one shard.
+    shards: Option<ShardSet>,
     queue: Arc<EventQueue>,
     publisher: SnapshotPublisher,
     journal: EventJournal,
@@ -481,11 +530,12 @@ impl StreamingService {
     pub fn new(graph: DynamicGraph, config: ServiceConfig) -> Result<Self, StreamError> {
         config.validate()?;
         let detector = StreamingDetector::new(graph, config.stream.clone())?;
-        Ok(Self::assemble(detector, config, EventJournal::new(), 0, None))
+        Self::from_detector(detector, config)
     }
 
     /// Creates a service around an existing detector (e.g. one seeded with a
-    /// known partition), published as epoch 0.
+    /// known partition), published as epoch 0. At more than one shard the
+    /// community ownership is derived from the detector's partition.
     ///
     /// # Errors
     ///
@@ -495,12 +545,14 @@ impl StreamingService {
         config: ServiceConfig,
     ) -> Result<Self, StreamError> {
         config.validate()?;
-        Ok(Self::assemble(detector, config, EventJournal::new(), 0, None))
+        let shards = (config.shards > 1).then(|| ShardSet::new(&detector, config.shards));
+        Ok(Self::assemble(detector, config, shards, EventJournal::new(), 0, None))
     }
 
     fn assemble(
         detector: StreamingDetector,
         config: ServiceConfig,
+        shards: Option<ShardSet>,
         journal: EventJournal,
         epoch: u64,
         latest_checkpoint: Option<String>,
@@ -511,6 +563,7 @@ impl StreamingService {
         StreamingService {
             detector,
             config,
+            shards,
             queue,
             publisher,
             journal,
@@ -570,9 +623,35 @@ impl StreamingService {
         self.journal.to_event_log()
     }
 
-    /// Validates `events` against the current graph state *as a batch* (see
-    /// [`validate_batch`]), with the fault-injection hook applied first.
-    fn validate_batch(&self, events: &[EdgeEvent]) -> Result<(), StreamError> {
+    /// Number of shard workers.
+    pub fn num_shards(&self) -> usize {
+        self.config.shards
+    }
+
+    /// The shard owning community slot `community` (slots index the
+    /// detector's aggregate vectors); always `0` at one shard.
+    pub fn owner_of_community(&self, community: usize) -> usize {
+        self.shards.as_ref().map_or(0, |shards| shards.owner_of_community(community))
+    }
+
+    /// Whether `shard` has panicked and degraded to read-only.
+    pub fn shard_is_dead(&self, shard: usize) -> bool {
+        self.shards.as_ref().is_some_and(|shards| shards.is_dead(shard))
+    }
+
+    /// Every shard's journal slice, serialized one entry per line in shard
+    /// order — the second input of [`StreamingService::recover_sharded`]
+    /// next to the manifest. Empty at one shard, whose global journal is the
+    /// only one.
+    pub fn shard_journal_logs(&self) -> Vec<String> {
+        self.shards.as_ref().map_or_else(Vec::new, ShardSet::journal_logs)
+    }
+
+    /// Checks that `events` may be applied as one batch: validated against
+    /// the current graph state (see [`validate_batch`]), with the
+    /// fault-injection hook applied first, and at more than one shard routed
+    /// only to live shards.
+    fn validate_batch(&mut self, events: &[EdgeEvent]) -> Result<(), StreamError> {
         #[cfg(feature = "fault-injection")]
         if self.faults.fails_validation_at(self.epoch + 1) {
             return Err(StreamError::EventFailed {
@@ -580,19 +659,24 @@ impl StreamingService {
                 source: GraphError::InvalidEdgeWeight { weight: f64::NAN },
             });
         }
-        validate_batch(self.detector.graph(), events)
+        validate_batch(self.detector.graph(), events)?;
+        if let Some(shards) = &mut self.shards {
+            #[cfg(feature = "fault-injection")]
+            if let Some(shard) = self.faults.kills_shard_at(self.epoch + 1) {
+                shards.kill(shard, self.epoch + 1);
+            }
+            if let Some(shard) = shards.unavailable_shard(events, &self.detector) {
+                return Err(StreamError::ShardUnavailable { shard, index: self.epoch + 1 });
+            }
+        }
+        Ok(())
     }
 }
 
 /// Validates `events` against `graph` *as a batch*: every event is checked
 /// against the state the preceding events would leave behind, without
-/// mutating anything. This is what makes batch application all-or-nothing;
-/// shared by [`StreamingService`] and the sharded service, which must agree
-/// on acceptance decisions event for event.
-pub(crate) fn validate_batch(
-    graph: &DynamicGraph,
-    events: &[EdgeEvent],
-) -> Result<(), StreamError> {
+/// mutating anything. This is what makes batch application all-or-nothing.
+fn validate_batch(graph: &DynamicGraph, events: &[EdgeEvent]) -> Result<(), StreamError> {
     let n = graph.num_nodes();
     let key = |u: usize, v: usize| if u <= v { (u, v) } else { (v, u) };
     // Overlay of edge presence changes the batch would make; absent keys
@@ -668,9 +752,11 @@ impl StreamingService {
     ///
     /// # Errors
     ///
-    /// Returns the first event's validation error ([`StreamError::EventFailed`])
-    /// with **nothing applied**, or [`StreamError::Detect`] if a full
-    /// re-detect fails.
+    /// * [`StreamError::EventFailed`], the first event's validation error,
+    ///   with **nothing applied**.
+    /// * [`StreamError::ShardUnavailable`] if the batch routes to a dead
+    ///   shard, with nothing applied.
+    /// * [`StreamError::Detect`] if a full re-detect fails.
     pub fn ingest(&mut self, events: &[EdgeEvent]) -> Result<StreamStats, StreamError> {
         if events.is_empty() {
             let q = self.detector.modularity();
@@ -701,11 +787,17 @@ impl StreamingService {
         if record && self.faults.panics_at_batch(self.epoch + 1) {
             panic!("injected fault: writer panic at batch {}", self.epoch + 1);
         }
-        let stats = self.detector.apply_events(events)?;
+        let stats = match &mut self.shards {
+            None => self.detector.apply_events(events)?,
+            Some(shards) => {
+                let journal_batch = record.then(|| self.journal.num_batches() as u64);
+                shards.apply(&mut self.detector, events, journal_batch)?
+            }
+        };
         if record {
             self.journal.record_batch(events);
             if let Some(store) = &self.store {
-                store.record_journal(self.journal.to_event_log());
+                store.record_journals(self.journal.to_event_log(), self.shard_journal_logs());
             }
         }
         self.epoch += 1;
@@ -723,8 +815,10 @@ impl StreamingService {
     ///
     /// # Errors
     ///
-    /// Same as [`StreamingService::ingest`]. A batch that fails validation is
-    /// dropped from the queue as a whole with no state change.
+    /// Same as [`StreamingService::ingest`]. A batch that fails validation
+    /// (including routing to a dead shard) is dropped from the queue as a
+    /// whole with no state change; under quarantine it is dead-lettered
+    /// instead and the next batch drained.
     pub fn step(&mut self) -> Result<Option<StreamStats>, StreamError> {
         loop {
             let batch = self.queue.drain_batch(self.config.max_batch);
@@ -796,12 +890,19 @@ impl StreamingService {
 
     /// Cuts a bit-exact checkpoint of the current state at the current batch
     /// boundary, stores it as [`StreamingService::latest_checkpoint`], and
-    /// returns its serialized text. Recovery needs this text plus the journal
+    /// returns its serialized text. At one shard this is a
+    /// [`ServiceCheckpoint`]; recovery needs it plus the journal
     /// ([`StreamingService::journal_log`]) from the same or a later moment.
+    /// At more shards it is a [`ShardManifest`] whose base section is
+    /// **byte-for-byte** the 1-shard checkpoint of the same state, plus one
+    /// slice per shard (owned communities, their Σ bits, the shard's journal
+    /// entries); recovery needs it plus the shard journal logs
+    /// ([`StreamingService::shard_journal_logs`]) from the same or a later
+    /// moment.
     pub fn checkpoint(&mut self) -> String {
         let (graph, labels, sigma_tot, sigma_in, drift, batches, full_redetects) =
             self.detector.checkpoint_parts();
-        let checkpoint = ServiceCheckpoint {
+        let base = ServiceCheckpoint {
             epoch: self.epoch,
             events_applied: self.journal.len(),
             batches,
@@ -812,9 +913,13 @@ impl StreamingService {
             sigma_tot: sigma_tot.to_vec(),
             sigma_in: sigma_in.to_vec(),
             graph: graph.clone(),
-        };
+        }
+        .to_text();
         #[allow(unused_mut)]
-        let mut text = checkpoint.to_text();
+        let mut text = match &self.shards {
+            None => base,
+            Some(shards) => shards.manifest(base, sigma_tot, self.epoch),
+        };
         #[cfg(feature = "fault-injection")]
         if let Some(keep) = self.faults.truncates_checkpoint() {
             // Simulates a torn checkpoint write: only a prefix survives.
@@ -852,7 +957,7 @@ impl StreamingService {
         self.store = Some(store.clone());
         let text = self.checkpoint();
         store.record_checkpoint(&text);
-        store.record_journal(self.journal.to_event_log());
+        store.record_journals(self.journal.to_event_log(), self.shard_journal_logs());
     }
 
     /// Rebuilds a service from the state a [`CheckpointStore`] captured before
@@ -865,7 +970,9 @@ impl StreamingService {
     ///
     /// * [`StreamError::InvalidConfig`] if the store holds no checkpoint (the
     ///   store was never attached to a service).
-    /// * Same as [`StreamingService::recover`] for corrupt store contents.
+    /// * Same as [`StreamingService::recover`] (one shard) or
+    ///   [`StreamingService::recover_sharded`] (more) for corrupt store
+    ///   contents.
     pub fn resume_from_store(
         store: &CheckpointStore,
         config: ServiceConfig,
@@ -873,7 +980,11 @@ impl StreamingService {
         let checkpoint = store.latest_checkpoint().ok_or_else(|| StreamError::InvalidConfig {
             reason: "checkpoint store holds no checkpoint to resume from".into(),
         })?;
-        let mut service = Self::recover(&checkpoint, &store.journal_log(), config)?;
+        let mut service = if config.shards == 1 {
+            Self::recover(&checkpoint, &store.journal_log(), config)?
+        } else {
+            Self::recover_sharded(&checkpoint, &store.shard_journal_logs(), config)?
+        };
         service.store = Some(store.clone());
         Ok(service)
     }
@@ -885,18 +996,21 @@ impl StreamingService {
         self.faults = faults;
     }
 
-    /// Rebuilds a service from a checkpoint and the full event journal,
-    /// replaying every journaled batch after the checkpoint's offset with its
-    /// original boundaries. The recovered service is **bit-identical** to the
-    /// uninterrupted run at the same point: partition, modularity bits,
-    /// drift, counters, epoch and journal all match (the crash-consistency
-    /// contract pinned by `tests/service.rs`).
+    /// Rebuilds a 1-shard service from a checkpoint and the full event
+    /// journal, replaying every journaled batch after the checkpoint's offset
+    /// with its original boundaries. The recovered service is
+    /// **bit-identical** to the uninterrupted run at the same point:
+    /// partition, modularity bits, drift, counters, epoch and journal all
+    /// match (the crash-consistency contract pinned by `tests/service.rs`).
     ///
     /// # Errors
     ///
-    /// * [`StreamError::Checkpoint`] for malformed checkpoint text, or a
+    /// * [`StreamError::InvalidConfig`] for invalid service parameters,
+    ///   including a shard count above one (recover those with
+    ///   [`StreamingService::recover_sharded`]).
+    /// * [`StreamError::Checkpoint`] for malformed checkpoint text, a
     ///   checkpoint offset that is beyond the journal or not on one of its
-    ///   batch boundaries.
+    ///   batch boundaries, or a quality function mismatch.
     /// * [`StreamError::Graph`] for malformed journal text.
     /// * Any replay error (replayed batches were validated when first
     ///   applied, so this indicates a truncated or edited journal).
@@ -906,31 +1020,75 @@ impl StreamingService {
         config: ServiceConfig,
     ) -> Result<Self, StreamError> {
         config.validate()?;
+        if config.shards > 1 {
+            return Err(StreamError::InvalidConfig {
+                reason: "a service with more than one shard recovers from its manifest with \
+                         recover_sharded"
+                    .into(),
+            });
+        }
         let checkpoint = ServiceCheckpoint::from_text(checkpoint_text)?;
         let journal = EventJournal::from_event_log(journal_text)?;
-        if checkpoint.events_applied > journal.len() {
-            return Err(StreamError::Checkpoint {
-                line: 3,
-                reason: format!(
-                    "checkpoint offset {} is beyond the {}-event journal ({} batches journaled)",
-                    checkpoint.events_applied,
-                    journal.len(),
-                    journal.num_batches()
-                ),
+        if let Some(reason) = offset_mismatch(checkpoint.events_applied, &journal) {
+            return Err(StreamError::Checkpoint { line: 3, reason });
+        }
+        Self::restore(checkpoint, None, journal, checkpoint_text, config)
+    }
+
+    /// Rebuilds a service of more than one shard from a checkpoint manifest
+    /// and every shard's journal log, replaying journaled batches past the
+    /// base offset exactly like [`StreamingService::recover`]. The recovered
+    /// service is **bit-identical** to the uninterrupted run: partition,
+    /// maintained quality bits, counters, epoch, ownership, journals — and
+    /// its next checkpoint. All shards come back alive (a shard killed by
+    /// fault injection is an in-memory condition, not a persisted one).
+    ///
+    /// # Errors
+    ///
+    /// * [`StreamError::InvalidConfig`] for invalid service parameters,
+    ///   including a single shard (recover it with
+    ///   [`StreamingService::recover`]).
+    /// * [`StreamError::Manifest`] for malformed or mismatched manifests:
+    ///   missing/reordered/corrupted slices, slices whose Σ bits disagree
+    ///   with the base checkpoint, shard journals that do not extend their
+    ///   manifest slice, entries that do not reassemble into complete,
+    ///   contiguous batches, or a base offset that is not a batch boundary
+    ///   of the merged journal (errors name the offending shard and, for
+    ///   offset problems, the containing journal batch).
+    /// * [`StreamError::Checkpoint`] for a corrupt base section or a quality
+    ///   function mismatch.
+    /// * Any replay error (indicates edited journals).
+    pub fn recover_sharded(
+        manifest_text: &str,
+        shard_journal_logs: &[String],
+        config: ServiceConfig,
+    ) -> Result<Self, StreamError> {
+        config.validate()?;
+        if config.shards == 1 {
+            return Err(StreamError::InvalidConfig {
+                reason: "a 1-shard service checkpoints without a manifest; recover it with recover"
+                    .into(),
             });
         }
-        if !journal.is_batch_boundary(checkpoint.events_applied) {
-            return Err(StreamError::Checkpoint {
-                line: 3,
-                reason: format!(
-                    "checkpoint offset {} is not a batch boundary of the {}-event journal \
-                     (it falls inside journaled batch {})",
-                    checkpoint.events_applied,
-                    journal.len(),
-                    journal.containing_batch(checkpoint.events_applied)
-                ),
-            });
+        let manifest = ShardManifest::from_text(manifest_text)?;
+        let base = ServiceCheckpoint::from_text(manifest.base_text())?;
+        let (shards, journal) =
+            ShardSet::restore(&manifest, &base, shard_journal_logs, config.shards)?;
+        if let Some(reason) = offset_mismatch(base.events_applied, &journal) {
+            return Err(StreamError::Manifest { line: 0, reason });
         }
+        Self::restore(base, Some(shards), journal, manifest_text, config)
+    }
+
+    /// The shared tail of both recovery paths: restore the detector from
+    /// `checkpoint`, then replay the journal past its offset.
+    fn restore(
+        checkpoint: ServiceCheckpoint,
+        shards: Option<ShardSet>,
+        journal: EventJournal,
+        checkpoint_text: &str,
+        config: ServiceConfig,
+    ) -> Result<Self, StreamError> {
         // Replaying under a different quality function than the one whose
         // aggregates the checkpoint froze would silently misprice every gain
         // (and under CPM even read node counts as degree sums) — reject up
@@ -959,6 +1117,7 @@ impl StreamingService {
         let mut service = Self::assemble(
             detector,
             config,
+            shards,
             journal,
             checkpoint.epoch,
             Some(checkpoint_text.to_string()),
@@ -969,6 +1128,28 @@ impl StreamingService {
             service.apply_validated(&batch, false)?;
         }
         Ok(service)
+    }
+}
+
+/// Why a checkpoint folding in the first `offset` journaled events cannot
+/// resume `journal`, if it cannot: the offset is beyond the journal or falls
+/// inside one of its batches.
+fn offset_mismatch(offset: usize, journal: &EventJournal) -> Option<String> {
+    if offset > journal.len() {
+        Some(format!(
+            "checkpoint offset {offset} is beyond the {}-event journal ({} batches journaled)",
+            journal.len(),
+            journal.num_batches()
+        ))
+    } else if !journal.is_batch_boundary(offset) {
+        Some(format!(
+            "checkpoint offset {offset} is not a batch boundary of the {}-event journal \
+             (it falls inside journaled batch {})",
+            journal.len(),
+            journal.containing_batch(offset)
+        ))
+    } else {
+        None
     }
 }
 
@@ -993,6 +1174,8 @@ mod tests {
         assert!(ServiceConfig::default().validate().is_ok());
         assert!(ServiceConfig { queue_capacity: 0, ..Default::default() }.validate().is_err());
         assert!(ServiceConfig { max_batch: 0, ..Default::default() }.validate().is_err());
+        assert!(ServiceConfig { shards: 0, ..Default::default() }.validate().is_err());
+        assert!(ServiceConfig { shards: 8, ..Default::default() }.validate().is_ok());
         let bad_stream = StreamConfig { frontier_fraction: 0.0, ..Default::default() };
         assert!(ServiceConfig { stream: bad_stream, ..Default::default() }.validate().is_err());
     }

@@ -1,8 +1,11 @@
-//! The partition-aligned sharded streaming service.
+//! The shard layer of a [`StreamingService`](crate::StreamingService) run with
+//! [`ServiceConfig::shards`](crate::ServiceConfig::shards) `> 1`.
 //!
-//! [`ShardedService`] scales the single-writer [`StreamingService`] pattern
-//! across shard workers that **own whole communities** (the paper's community
-//! structure doubles as the data-placement key):
+//! The service's one ingestion path (validate → apply → journal → publish →
+//! checkpoint), its quarantine loop, store mirroring and recovery replay are
+//! the same at every shard count. This module holds only what sharding adds,
+//! spread over shard workers that **own whole communities** (the paper's
+//! community structure doubles as the data-placement key):
 //!
 //! * **Ownership** ([`ownership`]): every community slot is assigned to a
 //!   shard by a deterministic balanced (LPT) assignment over community sizes,
@@ -17,15 +20,18 @@
 //!   for their nodes in parallel against the pass-start state; commits run
 //!   sequentially in ascending node order, recomputing any proposal whose
 //!   read set a committed move invalidated. The result is **bit-identical to
-//!   the unsharded service for any shard count** — partitions, maintained Q
-//!   bits, and the base checkpoint bytes (pinned 1/2/8 in `tests/sharded.rs`).
+//!   the sequential refinement a 1-shard service runs, for any shard count**
+//!   — partitions, maintained Q bits, and the base checkpoint bytes (pinned
+//!   1/2/8 in `tests/sharded.rs`).
 //! * **Per-shard checkpointing** ([`recovery`]): a checkpoint is a manifest
-//!   embedding the unsharded [`ServiceCheckpoint`] text plus one slice per
+//!   embedding the 1-shard [`ServiceCheckpoint`] text plus one slice per
 //!   shard (owned communities, their Σ bits, the shard's journal), each
-//!   FNV-1a checksummed. [`ShardedService::recover`] validates every slice
-//!   (missing, mismatched, or reordered slices are rejected with the shard
-//!   named), merges the primary entries back into the global journal, and
-//!   replays — bit-identically — from the base offset.
+//!   FNV-1a checksummed.
+//!   [`StreamingService::recover_sharded`](crate::StreamingService::recover_sharded)
+//!   validates every slice (missing, mismatched, or reordered slices are
+//!   rejected with the shard named), merges the primary entries back into
+//!   the global journal, and replays — bit-identically — from the base
+//!   offset.
 //! * **Fault containment**: under the `fault-injection` feature, a
 //!   [`FaultPlan`](crate::faults::FaultPlan) shard-kill panics one worker at
 //!   a chosen batch. The panic is isolated; the shard degrades to read-only
@@ -45,481 +51,164 @@ pub(crate) mod worker;
 pub use recovery::ShardManifest;
 
 use crate::checkpoint::{EventJournal, ServiceCheckpoint};
-use crate::service::{validate_batch, EventQueue, ServiceClient};
-use crate::snapshot::{PartitionSnapshot, SnapshotPublisher, SnapshotReader};
-use crate::{StreamConfig, StreamError, StreamStats, StreamingDetector};
+use crate::{StreamError, StreamStats, StreamingDetector};
 use ownership::OwnershipTable;
-use qhdcd_graph::{DynamicGraph, EdgeEvent};
-use router::{route_batch, RoutedBatch, ShardJournalEntry};
-use std::sync::Arc;
-use std::time::Duration;
+use qhdcd_graph::EdgeEvent;
+use router::{route_batch, ShardJournalEntry};
 use worker::{ShardWorker, TwoPhaseDriver};
 
-/// Configuration of a [`ShardedService`].
-#[derive(Debug, Clone)]
-pub struct ShardedConfig {
-    /// Number of shard workers. Must be positive. `1` behaves exactly like
-    /// the unsharded service (and every other count is pinned bit-identical
-    /// to it; shards only change parallelism and fault domains).
-    pub shards: usize,
-    /// Configuration of the underlying [`StreamingDetector`].
-    pub stream: StreamConfig,
-    /// Capacity of the bounded ingestion queue, in events. Must be positive.
-    /// [`ShardedService::step`] drains everything queued (up to this bound)
-    /// as one batch.
-    pub queue_capacity: usize,
-    /// Automatically refresh [`ShardedService::latest_checkpoint`] every this
-    /// many applied batches; `0` disables automatic checkpoints.
-    pub checkpoint_every: u64,
-}
-
-impl Default for ShardedConfig {
-    fn default() -> Self {
-        ShardedConfig {
-            shards: 2,
-            stream: StreamConfig::default(),
-            queue_capacity: 1024,
-            checkpoint_every: 0,
-        }
-    }
-}
-
-impl ShardedConfig {
-    /// Returns a copy with the given seed on the fallback detector.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.stream = self.stream.with_seed(seed);
-        self
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StreamError::InvalidConfig`] for a zero shard count or queue
-    /// capacity, and propagates [`StreamConfig::validate`] errors.
-    pub fn validate(&self) -> Result<(), StreamError> {
-        self.stream.validate()?;
-        if self.shards == 0 {
-            return Err(StreamError::InvalidConfig { reason: "shards must be > 0".into() });
-        }
-        if self.queue_capacity == 0 {
-            return Err(StreamError::InvalidConfig { reason: "queue_capacity must be > 0".into() });
-        }
-        Ok(())
-    }
-}
-
-/// A sharded streaming community-detection service. See the module docs for
-/// the architecture and the determinism contract.
-///
-/// # Example
-///
-/// ```
-/// use qhdcd_graph::{generators, DynamicGraph, EdgeEvent};
-/// use qhdcd_stream::{ShardedConfig, ShardedService};
-///
-/// # fn main() -> Result<(), qhdcd_stream::StreamError> {
-/// let graph = DynamicGraph::from_graph(&generators::karate_club());
-/// let mut service = ShardedService::new(
-///     graph,
-///     ShardedConfig { shards: 4, ..ShardedConfig::default() }.with_seed(1),
-/// )?;
-/// service.ingest(&[EdgeEvent::Add { u: 0, v: 33, weight: 1.0 }])?;
-/// assert_eq!(service.epoch(), 1);
-/// # Ok(())
-/// # }
-/// ```
+/// Who owns which community, and each shard's journal slice and liveness.
 #[derive(Debug)]
-pub struct ShardedService {
-    detector: StreamingDetector,
-    config: ShardedConfig,
+pub(crate) struct ShardSet {
     ownership: OwnershipTable,
     workers: Vec<ShardWorker>,
-    queue: Arc<EventQueue>,
-    publisher: SnapshotPublisher,
-    journal: EventJournal,
-    epoch: u64,
-    latest_checkpoint: Option<String>,
-    #[cfg(feature = "fault-injection")]
-    faults: crate::faults::FaultPlan,
 }
 
-impl Drop for ShardedService {
-    /// Closes the ingestion queue so blocked submitters wake with
-    /// [`StreamError::ServiceClosed`] (same contract as the unsharded
-    /// service).
-    fn drop(&mut self) {
-        self.queue.close();
-    }
-}
-
-impl ShardedService {
-    /// Creates a sharded service, running the configured detector once to
-    /// obtain the initial partition (published as epoch 0) and deriving the
-    /// initial community ownership from it.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`StreamingDetector::new`], plus [`StreamError::InvalidConfig`]
-    /// for invalid sharded parameters.
-    pub fn new(graph: DynamicGraph, config: ShardedConfig) -> Result<Self, StreamError> {
-        config.validate()?;
-        let detector = StreamingDetector::new(graph, config.stream.clone())?;
-        Ok(Self::assemble(detector, config, EventJournal::new(), 0, None, None, None))
-    }
-
-    /// Creates a sharded service around an existing detector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StreamError::InvalidConfig`] for invalid sharded parameters.
-    pub fn from_detector(
-        detector: StreamingDetector,
-        config: ShardedConfig,
-    ) -> Result<Self, StreamError> {
-        config.validate()?;
-        Ok(Self::assemble(detector, config, EventJournal::new(), 0, None, None, None))
-    }
-
-    fn assemble(
-        detector: StreamingDetector,
-        config: ShardedConfig,
-        journal: EventJournal,
-        epoch: u64,
-        latest_checkpoint: Option<String>,
-        ownership: Option<OwnershipTable>,
-        workers: Option<Vec<ShardWorker>>,
-    ) -> Self {
-        let ownership = ownership.unwrap_or_else(|| {
-            OwnershipTable::derive(detector.labels(), detector.sigma_tot().len(), config.shards)
-        });
-        let workers = workers.unwrap_or_else(|| vec![ShardWorker::default(); config.shards]);
-        let snapshot = Self::build_snapshot(&detector, epoch);
-        let (publisher, _) = SnapshotPublisher::new(snapshot);
-        let queue = Arc::new(EventQueue::new(config.queue_capacity));
-        ShardedService {
-            detector,
-            config,
-            ownership,
-            workers,
-            queue,
-            publisher,
-            journal,
-            epoch,
-            latest_checkpoint,
-            #[cfg(feature = "fault-injection")]
-            faults: crate::faults::FaultPlan::default(),
+impl ShardSet {
+    /// Derives the ownership of `shards` fresh workers from the detector's
+    /// current partition.
+    pub(crate) fn new(detector: &StreamingDetector, shards: usize) -> Self {
+        ShardSet {
+            ownership: OwnershipTable::derive(
+                detector.labels(),
+                detector.sigma_tot().len(),
+                shards,
+            ),
+            workers: vec![ShardWorker::default(); shards],
         }
     }
 
-    fn build_snapshot(detector: &StreamingDetector, epoch: u64) -> PartitionSnapshot {
-        PartitionSnapshot::new(
-            epoch,
-            detector.graph().snapshot(),
-            detector.partition().labels().to_vec(),
-            detector.modularity(),
-        )
-    }
-
-    /// A new client handle (submission + lock-free snapshot reads).
-    pub fn client(&self) -> ServiceClient {
-        ServiceClient::from_parts(Arc::clone(&self.queue), self.publisher.reader())
-    }
-
-    /// A new read-only handle onto the snapshot chain.
-    pub fn reader(&self) -> SnapshotReader {
-        self.publisher.reader()
-    }
-
-    /// The most recently published snapshot.
-    pub fn latest_snapshot(&self) -> Arc<PartitionSnapshot> {
-        self.publisher.latest()
-    }
-
-    /// The current epoch (number of applied batches, carried across
-    /// recovery).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The underlying detector (read-only).
-    pub fn detector(&self) -> &StreamingDetector {
-        &self.detector
-    }
-
-    /// The global event journal (identical to the unsharded service's journal
-    /// over the same batches).
-    pub fn journal(&self) -> &EventJournal {
-        &self.journal
-    }
-
-    /// The global journal serialized as a timestamped event log.
-    pub fn journal_log(&self) -> String {
-        self.journal.to_event_log()
-    }
-
-    /// Number of shard workers.
-    pub fn num_shards(&self) -> usize {
-        self.config.shards
-    }
-
-    /// The shard owning community slot `community` (slots index the
-    /// detector's aggregate vectors).
-    pub fn owner_of_community(&self, community: usize) -> usize {
+    pub(crate) fn owner_of_community(&self, community: usize) -> usize {
         self.ownership.owner(community)
     }
 
-    /// Whether `shard` has panicked and degraded to read-only.
-    pub fn shard_is_dead(&self, shard: usize) -> bool {
+    pub(crate) fn is_dead(&self, shard: usize) -> bool {
         self.workers[shard].dead
     }
 
-    /// One shard's journal slice, serialized one entry per line (see
-    /// [`router`] for the format).
-    pub fn shard_journal_log(&self, shard: usize) -> String {
-        self.workers[shard].journal_log()
-    }
-
-    /// Every shard's journal slice, in shard order — the second recovery
-    /// input next to the manifest.
-    pub fn shard_journal_logs(&self) -> Vec<String> {
+    /// Every shard's journal slice, in shard order.
+    pub(crate) fn journal_logs(&self) -> Vec<String> {
         self.workers.iter().map(ShardWorker::journal_log).collect()
     }
 
-    /// Installs a deterministic fault plan (feature `fault-injection` only).
-    /// The sharded service honours the shard-kill class
-    /// ([`FaultPlan::kill_shard_at`](crate::faults::FaultPlan::kill_shard_at));
-    /// other fault classes target the unsharded service.
+    /// Panics shard `shard`'s worker while it picks up a batch; the panic is
+    /// contained to the shard, which degrades to read-only.
     #[cfg(feature = "fault-injection")]
-    pub fn inject_faults(&mut self, faults: crate::faults::FaultPlan) {
-        self.faults = faults;
-    }
-
-    /// Applies one batch synchronously: validate atomically, route to the
-    /// owning shards, refine through the two-phase driver, journal globally
-    /// and per shard, publish the next epoch, and refresh the automatic
-    /// checkpoint when due. An empty batch is a no-op.
-    ///
-    /// # Errors
-    ///
-    /// * [`StreamError::EventFailed`] if validation rejects the batch
-    ///   (nothing applied).
-    /// * [`StreamError::ShardUnavailable`] if the batch routes to a dead
-    ///   shard (nothing applied; submit batches touching only live shards'
-    ///   communities, or recover).
-    /// * [`StreamError::Detect`] if a full re-detect fails.
-    pub fn ingest(&mut self, events: &[EdgeEvent]) -> Result<StreamStats, StreamError> {
-        if events.is_empty() {
-            let q = self.detector.modularity();
-            return Ok(StreamStats {
-                events_applied: 0,
-                frontier_size: 0,
-                nodes_moved: 0,
-                refine_passes: 0,
-                full_redetect: false,
-                modularity_before: q,
-                modularity: q,
-                modularity_delta: 0.0,
-                elapsed: Duration::ZERO,
+    pub(crate) fn kill(&mut self, shard: usize, batch: u64) {
+        if shard < self.workers.len() && !self.workers[shard].dead {
+            let panicked = std::panic::catch_unwind(|| {
+                panic!("injected fault: shard {shard} worker panic at batch {batch}")
             });
+            debug_assert!(panicked.is_err());
+            self.workers[shard].dead = true;
         }
-        validate_batch(self.detector.graph(), events)?;
-        // Routing runs on the pre-batch labels and graph — deterministic for
-        // a given state and shard count.
-        let routed =
-            route_batch(events, self.detector.labels(), self.detector.graph(), &self.ownership);
-        #[cfg(feature = "fault-injection")]
-        if let Some(shard) = self.faults.kills_shard_at(self.epoch + 1) {
-            if shard < self.config.shards && !self.workers[shard].dead {
-                // The worker panics while picking up the batch; the panic is
-                // contained to the shard, which degrades to read-only.
-                let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    panic!("injected fault: shard {shard} worker panic at batch {}", self.epoch + 1)
-                }));
-                debug_assert!(panicked.is_err());
-                self.workers[shard].dead = true;
-            }
-        }
-        if let Some(&shard) = routed.owners.iter().find(|&&s| self.workers[s].dead) {
-            return Err(StreamError::ShardUnavailable { shard, index: self.epoch + 1 });
-        }
-        self.apply_batch(events, Some(&routed))
     }
 
-    /// The shared application path: refine through the two-phase driver,
-    /// optionally journal (`routed` is `None` during recovery replay, whose
-    /// events are already journaled), publish, auto-checkpoint.
-    fn apply_batch(
-        &mut self,
+    /// The first dead shard `events` would route to, if any.
+    pub(crate) fn unavailable_shard(
+        &self,
         events: &[EdgeEvent],
-        routed: Option<&RoutedBatch>,
+        detector: &StreamingDetector,
+    ) -> Option<usize> {
+        if !self.workers.iter().any(|w| w.dead) {
+            return None;
+        }
+        let routed = route_batch(events, detector.labels(), detector.graph(), &self.ownership);
+        routed.owners.into_iter().find(|&shard| self.workers[shard].dead)
+    }
+
+    /// Applies a validated batch through the two-phase driver. With
+    /// `journal_batch` set (the batch's global journal index), the events are
+    /// routed under the pre-batch labels and journaled on their owning
+    /// shards; recovery replay passes `None`, its entries being journaled
+    /// already.
+    pub(crate) fn apply(
+        &mut self,
+        detector: &mut StreamingDetector,
+        events: &[EdgeEvent],
+        journal_batch: Option<u64>,
     ) -> Result<StreamStats, StreamError> {
+        let routed = journal_batch.map(|batch| {
+            (batch, route_batch(events, detector.labels(), detector.graph(), &self.ownership))
+        });
         let dead: Vec<bool> = self.workers.iter().map(|w| w.dead).collect();
         let mut driver = TwoPhaseDriver::new(&self.ownership, &dead);
-        let stats = self.detector.apply_events_with(events, &mut driver)?;
-        let rederived = driver.rederived.take();
-        drop(driver);
-        if let Some(ownership) = rederived {
+        let stats = detector.apply_events_with(events, &mut driver)?;
+        if let Some(ownership) = driver.rederived.take() {
             self.ownership = ownership;
         }
-        if let Some(routed) = routed {
-            let batch_index = self.journal.num_batches() as u64;
-            self.journal.record_batch(events);
+        if let Some((batch, routed)) = routed {
             for (shard, entries) in routed.per_shard.iter().enumerate() {
                 for &(pos, primary) in entries {
                     self.workers[shard].entries.push(ShardJournalEntry {
-                        batch: batch_index,
+                        batch,
                         pos,
+                        batch_len: events.len(),
                         primary,
                         event: events[pos],
                     });
                 }
             }
         }
-        self.epoch += 1;
-        self.publisher.publish(Self::build_snapshot(&self.detector, self.epoch));
-        if self.config.checkpoint_every > 0
-            && self.detector.batches_applied().is_multiple_of(self.config.checkpoint_every)
-        {
-            self.checkpoint();
-        }
         Ok(stats)
     }
 
-    /// Drains everything queued (in submission order, up to the queue
-    /// capacity) and applies it as one batch. Returns `Ok(None)` when the
-    /// queue is empty.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedService::ingest`]; a failing batch is dropped from
-    /// the queue as a whole with no state change.
-    pub fn step(&mut self) -> Result<Option<StreamStats>, StreamError> {
-        let batch = self.queue.drain_batch(self.config.queue_capacity);
-        if batch.is_empty() {
-            return Ok(None);
-        }
-        self.ingest(&batch).map(Some)
-    }
-
-    /// Applies queued events until the queue is empty.
-    ///
-    /// # Errors
-    ///
-    /// Stops at and returns the first batch error.
-    pub fn drain(&mut self) -> Result<Vec<StreamStats>, StreamError> {
-        let mut all = Vec::new();
-        while let Some(stats) = self.step()? {
-            all.push(stats);
-        }
-        Ok(all)
-    }
-
-    /// Cuts a sharded checkpoint at the current batch boundary: a
-    /// [`ShardManifest`] whose base section is **byte-for-byte** the
-    /// checkpoint the unsharded service would cut from the same state, plus
-    /// one slice per shard (owned communities, their Σ bits, the shard's
-    /// journal entries). Stored as [`ShardedService::latest_checkpoint`] and
-    /// returned as text. Recovery needs this text plus the per-shard journal
-    /// logs ([`ShardedService::shard_journal_logs`]) from the same or a later
-    /// moment.
-    pub fn checkpoint(&mut self) -> String {
-        let (graph, labels, sigma_tot, sigma_in, drift, batches, full_redetects) =
-            self.detector.checkpoint_parts();
-        let base = ServiceCheckpoint {
-            epoch: self.epoch,
-            events_applied: self.journal.len(),
-            batches,
-            full_redetects,
-            quality: self.detector.config().quality(),
-            drift,
-            labels: labels.to_vec(),
-            sigma_tot: sigma_tot.to_vec(),
-            sigma_in: sigma_in.to_vec(),
-            graph: graph.clone(),
-        };
-        let slices = (0..self.config.shards)
-            .map(|shard| {
+    /// The manifest text around `base_text`, the checkpoint a 1-shard
+    /// service would cut from the same state; `sigma_tot` is that state's
+    /// community aggregates.
+    pub(crate) fn manifest(&self, base_text: String, sigma_tot: &[f64], epoch: u64) -> String {
+        let slices = self
+            .workers
+            .iter()
+            .enumerate()
+            .map(|(shard, worker)| {
                 let owned = self.ownership.owned(shard);
                 let sigma_bits = owned.iter().map(|&slot| sigma_tot[slot].to_bits()).collect();
                 recovery::ShardSlice {
                     id: shard,
                     owned,
                     sigma_bits,
-                    entries: self.workers[shard].entries.clone(),
+                    entries: worker.entries.clone(),
                 }
             })
             .collect();
-        let manifest = ShardManifest {
-            shards: self.config.shards,
-            epoch: self.epoch,
-            base_text: base.to_text(),
-            slices,
-        };
-        let text = manifest.to_text();
-        self.latest_checkpoint = Some(text.clone());
-        text
+        ShardManifest { shards: self.workers.len(), epoch, base_text, slices }.to_text()
     }
 
-    /// The most recent checkpoint manifest (manual or automatic), if any.
-    pub fn latest_checkpoint(&self) -> Option<&str> {
-        self.latest_checkpoint.as_deref()
-    }
-
-    /// Rebuilds a sharded service from a checkpoint manifest and every
-    /// shard's journal log, replaying journaled batches past the base offset.
-    /// The recovered service is **bit-identical** to the uninterrupted run:
-    /// partition, maintained quality bits, counters, epoch, ownership,
-    /// journals — and its next checkpoint's base bytes.
-    ///
-    /// All shards come back alive (a shard killed by fault injection is an
-    /// in-memory condition, not a persisted one).
+    /// Rebuilds the shard layer from a parsed manifest, its parsed base
+    /// section and every shard's journal log, and merges the primary entries
+    /// back into the global journal. All shards come back alive (a shard
+    /// killed by fault injection is an in-memory condition, not a persisted
+    /// one).
     ///
     /// # Errors
     ///
-    /// * [`StreamError::Manifest`] for malformed or mismatched manifests:
-    ///   missing/reordered/corrupted slices, slices whose Σ bits disagree
-    ///   with the base checkpoint, shard journals that do not extend their
-    ///   manifest slice, or primary entries that do not reassemble into
-    ///   contiguous batches (errors name the offending shard and, for offset
-    ///   problems, the containing journal batch).
-    /// * [`StreamError::Checkpoint`] for a corrupt base section or a quality
-    ///   function mismatch.
-    /// * Any replay error (indicates edited journals).
-    pub fn recover(
-        manifest_text: &str,
+    /// [`StreamError::Manifest`] for a shard count other than `shards`, a
+    /// journal log count other than `shards`, slices whose ownership or Σ
+    /// bits disagree with the base checkpoint, shard journals that do not
+    /// extend their manifest slice, or primary entries that do not reassemble
+    /// into contiguous batches. Errors name the offending shard.
+    pub(crate) fn restore(
+        manifest: &ShardManifest,
+        base: &ServiceCheckpoint,
         shard_journal_logs: &[String],
-        config: ShardedConfig,
-    ) -> Result<Self, StreamError> {
-        config.validate()?;
-        let manifest = ShardManifest::from_text(manifest_text)?;
-        if manifest.shards != config.shards {
+        shards: usize,
+    ) -> Result<(Self, EventJournal), StreamError> {
+        if manifest.shards != shards {
             return Err(StreamError::Manifest {
                 line: 3,
                 reason: format!(
-                    "manifest was cut with {} shards but the recovery config has {}",
-                    manifest.shards, config.shards
+                    "manifest was cut with {} shards but the recovery config has {shards}",
+                    manifest.shards
                 ),
             });
         }
-        if shard_journal_logs.len() != config.shards {
+        if shard_journal_logs.len() != shards {
             return Err(StreamError::Manifest {
                 line: 0,
                 reason: format!(
-                    "{} shard journal logs provided for {} shards",
-                    shard_journal_logs.len(),
-                    config.shards
-                ),
-            });
-        }
-        let base = ServiceCheckpoint::from_text(manifest.base_text())?;
-        if base.quality != config.stream.quality() {
-            return Err(StreamError::Checkpoint {
-                line: 0,
-                reason: format!(
-                    "checkpoint was cut under {:?} but the recovery config maintains {:?}",
-                    base.quality,
-                    config.stream.quality()
+                    "{} shard journal logs provided for {shards} shards",
+                    shard_journal_logs.len()
                 ),
             });
         }
@@ -543,7 +232,7 @@ impl ShardedService {
         }
         // Parse the full per-shard logs and check each extends its manifest
         // slice (the logs may run past the checkpoint; never behind it).
-        let mut full_logs: Vec<Vec<ShardJournalEntry>> = Vec::with_capacity(config.shards);
+        let mut workers = Vec::with_capacity(shards);
         for (shard, log) in shard_journal_logs.iter().enumerate() {
             let entries = router::parse_shard_log(log)?;
             let slice = &manifest.slices[shard];
@@ -560,109 +249,76 @@ impl ShardedService {
                     ),
                 });
             }
-            full_logs.push(entries);
+            workers.push(ShardWorker { entries, dead: false });
         }
-        let journal = merge_primary_entries(&full_logs)?;
-        if base.events_applied > journal.len() {
-            return Err(StreamError::Manifest {
-                line: 0,
-                reason: format!(
-                    "checkpoint offset {} is beyond the {}-event merged journal \
-                     ({} batches journaled)",
-                    base.events_applied,
-                    journal.len(),
-                    journal.num_batches()
-                ),
-            });
-        }
-        if !journal.is_batch_boundary(base.events_applied) {
-            return Err(StreamError::Manifest {
-                line: 0,
-                reason: format!(
-                    "checkpoint offset {} is not a batch boundary of the {}-event merged \
-                     journal (it falls inside journaled batch {})",
-                    base.events_applied,
-                    journal.len(),
-                    journal.containing_batch(base.events_applied)
-                ),
-            });
-        }
-        let detector = StreamingDetector::from_checkpoint_parts(
-            base.graph,
-            base.labels,
-            base.sigma_tot,
-            base.sigma_in,
-            base.drift,
-            base.batches,
-            base.full_redetects,
-            config.stream.clone(),
-        )?;
-        let workers: Vec<ShardWorker> =
-            full_logs.into_iter().map(|entries| ShardWorker { entries, dead: false }).collect();
-        let offset = base.events_applied;
-        let mut service = Self::assemble(
-            detector,
-            config,
-            journal,
-            base.epoch,
-            Some(manifest_text.to_string()),
-            Some(ownership),
-            Some(workers),
-        );
-        let replay: Vec<Vec<EdgeEvent>> =
-            service.journal.batches_from(offset).map(<[EdgeEvent]>::to_vec).collect();
-        for batch in replay {
-            service.apply_batch(&batch, None)?;
-        }
-        Ok(service)
+        let journal = merge_primary_entries(&workers)?;
+        Ok((ShardSet { ownership, workers }, journal))
     }
 }
 
 /// Merges every shard's **primary** entries back into the global journal:
-/// sorted by `(batch, position)`, each batch's positions must be contiguous
-/// from zero — a missing primary entry (lost shard log) is detected here.
-fn merge_primary_entries(logs: &[Vec<ShardJournalEntry>]) -> Result<EventJournal, StreamError> {
+/// sorted by `(batch, position)`, batch indices must be contiguous from zero
+/// and each batch must hold exactly its declared number of events — a
+/// missing primary entry (lost or torn shard log) is detected here. Every
+/// replica entry must then repeat the merged event at its position, so a log
+/// whose primaries were lost cannot leave stale replicas behind either.
+fn merge_primary_entries(workers: &[ShardWorker]) -> Result<EventJournal, StreamError> {
+    let err = |reason: String| StreamError::Manifest { line: 0, reason };
     let mut primaries: Vec<&ShardJournalEntry> =
-        logs.iter().flatten().filter(|e| e.primary).collect();
+        workers.iter().flat_map(|w| &w.entries).filter(|e| e.primary).collect();
     primaries.sort_by_key(|e| (e.batch, e.pos));
-    let mut journal = EventJournal::new();
-    let mut batch_events: Vec<EdgeEvent> = Vec::new();
-    let mut current_batch = 0u64;
-    let flush = |journal: &mut EventJournal, events: &mut Vec<EdgeEvent>| {
-        journal.record_batch(events);
-        events.clear();
-    };
+    // `(declared length, events)` per batch, grown from the entries read:
+    // a declared length is not trusted until the batch fills up to it.
+    let mut batches: Vec<(usize, Vec<EdgeEvent>)> = Vec::new();
     for entry in primaries {
-        if entry.batch != current_batch {
-            if entry.batch != current_batch + 1 || batch_events.is_empty() {
-                return Err(StreamError::Manifest {
-                    line: 0,
-                    reason: format!(
-                        "merged shard journals skip from batch {current_batch} to batch {} — a \
-                         primary entry (and its shard's log) is missing",
-                        entry.batch
-                    ),
-                });
+        if entry.pos == 0 && entry.batch == batches.len() as u64 {
+            batches.push((entry.batch_len, Vec::new()));
+        }
+        let current = batches.len() as u64;
+        match batches.last_mut() {
+            Some((len, events))
+                if entry.batch + 1 == current
+                    && entry.pos == events.len()
+                    && entry.batch_len == *len =>
+            {
+                events.push(entry.event);
             }
-            flush(&mut journal, &mut batch_events);
-            current_batch = entry.batch;
+            _ => {
+                return Err(err(format!(
+                    "merged shard journals reach position {} of batch {} out of order — a \
+                     primary entry (and its shard's log) is missing",
+                    entry.pos, entry.batch
+                )));
+            }
         }
-        if entry.pos != batch_events.len() {
-            return Err(StreamError::Manifest {
-                line: 0,
-                reason: format!(
-                    "merged shard journals miss position {} of batch {} (found position {}) — a \
-                     primary entry is missing",
-                    batch_events.len(),
-                    entry.batch,
-                    entry.pos
-                ),
-            });
-        }
-        batch_events.push(entry.event);
     }
-    if !batch_events.is_empty() {
-        flush(&mut journal, &mut batch_events);
+    for (batch, (len, events)) in batches.iter().enumerate() {
+        if events.len() != *len {
+            return Err(err(format!(
+                "batch {batch} holds {} of its {len} events — a primary entry is missing",
+                events.len()
+            )));
+        }
+    }
+    for (shard, worker) in workers.iter().enumerate() {
+        for entry in worker.entries.iter().filter(|e| !e.primary) {
+            let merged = usize::try_from(entry.batch)
+                .ok()
+                .and_then(|batch| batches.get(batch))
+                .filter(|(len, _)| *len == entry.batch_len)
+                .and_then(|(_, events)| events.get(entry.pos));
+            if merged != Some(&entry.event) {
+                return Err(err(format!(
+                    "shard {shard} holds a replica of position {} of batch {} that no primary \
+                     entry matches",
+                    entry.pos, entry.batch
+                )));
+            }
+        }
+    }
+    let mut journal = EventJournal::new();
+    for (_, events) in &batches {
+        journal.record_batch(events);
     }
     Ok(journal)
 }
@@ -670,9 +326,10 @@ fn merge_primary_entries(logs: &[Vec<ShardJournalEntry>]) -> Result<EventJournal
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qhdcd_graph::generators;
+    use crate::{ServiceConfig, StreamConfig, StreamingService};
+    use qhdcd_graph::{generators, DynamicGraph};
 
-    fn karate_sharded(shards: usize) -> ShardedService {
+    fn karate_sharded(shards: usize) -> StreamingService {
         let graph = DynamicGraph::from_graph(&generators::karate_club());
         let detector = StreamingDetector::from_partition(
             graph,
@@ -680,20 +337,36 @@ mod tests {
             StreamConfig::default(),
         )
         .unwrap();
-        ShardedService::from_detector(
-            detector,
-            ShardedConfig { shards, ..ShardedConfig::default() },
-        )
-        .unwrap()
+        StreamingService::from_detector(detector, ServiceConfig { shards, ..Default::default() })
+            .unwrap()
+    }
+
+    fn parsed_workers(service: &StreamingService) -> Vec<ShardWorker> {
+        service
+            .shard_journal_logs()
+            .iter()
+            .map(|log| ShardWorker { entries: router::parse_shard_log(log).unwrap(), dead: false })
+            .collect()
     }
 
     #[test]
     fn config_validation() {
-        assert!(ShardedConfig::default().validate().is_ok());
-        assert!(ShardedConfig { shards: 0, ..Default::default() }.validate().is_err());
-        assert!(ShardedConfig { queue_capacity: 0, ..Default::default() }.validate().is_err());
+        let sharded = ServiceConfig { shards: 4, ..ServiceConfig::default() };
+        assert!(sharded.validate().is_ok());
+        assert!(ServiceConfig { shards: 0, ..sharded.clone() }.validate().is_err());
+        assert!(ServiceConfig { queue_capacity: 0, ..sharded.clone() }.validate().is_err());
         let bad = StreamConfig { frontier_fraction: 0.0, ..Default::default() };
-        assert!(ShardedConfig { stream: bad, ..Default::default() }.validate().is_err());
+        assert!(ServiceConfig { stream: bad, ..sharded }.validate().is_err());
+        // A zero shard count is refused at construction, not on first ingest.
+        let graph = DynamicGraph::from_graph(&generators::karate_club());
+        let detector = StreamingDetector::from_partition(
+            graph,
+            generators::karate_club_communities(),
+            StreamConfig::default(),
+        )
+        .unwrap();
+        let zero = ServiceConfig { shards: 0, ..ServiceConfig::default() };
+        assert!(StreamingService::from_detector(detector, zero).is_err());
     }
 
     #[test]
@@ -711,6 +384,10 @@ mod tests {
         // Empty batches are no-ops.
         service.ingest(&[]).unwrap();
         assert_eq!(service.epoch(), 1);
+        // A 1-shard service keeps no shard layer: no routing, no shard logs.
+        let mut single = karate_sharded(1);
+        single.ingest(&[EdgeEvent::Add { u: 0, v: 33, weight: 1.0 }]).unwrap();
+        assert!(single.shard_journal_logs().is_empty());
     }
 
     #[test]
@@ -740,12 +417,7 @@ mod tests {
         for batch in &batches {
             service.ingest(batch).unwrap();
         }
-        let logs: Vec<Vec<ShardJournalEntry>> = service
-            .shard_journal_logs()
-            .iter()
-            .map(|log| router::parse_shard_log(log).unwrap())
-            .collect();
-        let merged = merge_primary_entries(&logs).unwrap();
+        let merged = merge_primary_entries(&parsed_workers(&service)).unwrap();
         assert_eq!(&merged, service.journal());
     }
 
@@ -760,14 +432,121 @@ mod tests {
         let slice = manifest.slices.iter_mut().find(|s| !s.owned.is_empty()).unwrap();
         let shard = slice.id;
         slice.sigma_bits[0] ^= 1;
-        let err = ShardedService::recover(
+        let err = StreamingService::recover_sharded(
             &manifest.to_text(),
             &logs,
-            ShardedConfig { shards: 2, ..ShardedConfig::default() },
+            ServiceConfig { shards: 2, ..ServiceConfig::default() },
         )
         .unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains(&format!("shard {shard}")) && msg.contains("disagrees"), "{msg}");
+    }
+
+    /// Byte-level corruption matrix of sharded recovery: every truncation
+    /// point and every single-byte overwrite of a 2-shard manifest and of
+    /// one shard journal log gives a structured error or an exact restore —
+    /// never a panic, never a partially applied batch. A corrupted manifest
+    /// restores only the uninterrupted final state. A shard log torn at a
+    /// line boundary may lose whole trailing batches that no other shard
+    /// replicates, exactly like a torn global journal; recovery then restores
+    /// the uninterrupted run's state at that earlier batch boundary.
+    #[test]
+    fn corruption_matrix_never_panics_or_partially_restores() {
+        let pg = generators::ring_of_cliques(2, 4).unwrap();
+        let config = ServiceConfig { shards: 2, ..ServiceConfig::default() };
+        let detector = StreamingDetector::from_partition(
+            DynamicGraph::from_graph(&pg.graph),
+            pg.ground_truth.clone(),
+            config.stream.clone(),
+        )
+        .unwrap();
+        let mut service = StreamingService::from_detector(detector, config.clone()).unwrap();
+        let batches = [
+            vec![EdgeEvent::Add { u: 0, v: 5, weight: 0.5 }, EdgeEvent::Remove { u: 1, v: 2 }],
+            vec![EdgeEvent::Update { u: 4, v: 6, weight: 1.25 }],
+            vec![
+                EdgeEvent::Add { u: 1, v: 2, weight: 2.0 },
+                EdgeEvent::Add { u: 3, v: 7, weight: 1.5 },
+            ],
+            vec![EdgeEvent::Remove { u: 0, v: 5 }, EdgeEvent::Add { u: 2, v: 6, weight: 0.75 }],
+            // Inside community 0 only: journaled on one shard, no replica.
+            vec![
+                EdgeEvent::Update { u: 0, v: 1, weight: 3.0 },
+                EdgeEvent::Update { u: 2, v: 3, weight: 0.5 },
+            ],
+            vec![EdgeEvent::Update { u: 1, v: 3, weight: 2.5 }],
+        ];
+        let state = |service: &mut StreamingService| {
+            (
+                service.detector().modularity().to_bits(),
+                service.detector().partition(),
+                service.epoch(),
+                service.journal_log(),
+                service.shard_journal_logs(),
+                service.checkpoint(),
+            )
+        };
+        // The uninterrupted run's state at every epoch; the manifest is cut
+        // after the first batch, so recovery replays the logs' tail.
+        let mut states = vec![state(&mut service)];
+        let mut manifest = String::new();
+        for batch in &batches {
+            service.ingest(batch).unwrap();
+            states.push(state(&mut service));
+            if manifest.is_empty() {
+                manifest = service.latest_checkpoint().unwrap().to_string();
+            }
+        }
+        let logs = service.shard_journal_logs();
+        let restore = |manifest: &str, logs: &[String]| {
+            StreamingService::recover_sharded(manifest, logs, config.clone())
+                .ok()
+                .map(|mut restored| state(&mut restored))
+        };
+        assert_eq!(restore(&manifest, &logs).as_ref(), states.last());
+        let overwrites = |text: &str| {
+            (0..text.len())
+                .filter(|&pos| text.as_bytes()[pos] != b'X')
+                .filter_map(|pos| {
+                    let mut bytes = text.as_bytes().to_vec();
+                    bytes[pos] = b'X';
+                    String::from_utf8(bytes).ok().map(|corrupted| (pos, corrupted))
+                })
+                .collect::<Vec<_>>()
+        };
+        for cut in 0..manifest.len() {
+            if let Some(restored) = restore(&manifest[..cut], &logs) {
+                assert_eq!(Some(&restored), states.last(), "manifest cut at {cut}");
+            }
+        }
+        for (pos, corrupted) in overwrites(&manifest) {
+            if let Some(restored) = restore(&corrupted, &logs) {
+                assert_eq!(Some(&restored), states.last(), "manifest overwrite at {pos}");
+            }
+        }
+        let victim = (0..logs.len()).max_by_key(|&shard| logs[shard].len()).unwrap();
+        let log = &logs[victim];
+        let with_log = |text: &str| {
+            let mut corrupted = logs.clone();
+            corrupted[victim] = text.to_string();
+            corrupted
+        };
+        let mut lost_tails = 0;
+        for cut in 0..log.len() {
+            if let Some(restored) = restore(&manifest, &with_log(&log[..cut])) {
+                let epoch = restored.2 as usize;
+                assert_eq!(restored, states[epoch], "shard {victim} log cut at {cut}");
+                lost_tails += usize::from(epoch < batches.len());
+            }
+        }
+        // Only the two cuts between the unreplicated trailing batches lose a
+        // tail; every other cut leaves a replica unmatched or a batch short.
+        assert_eq!(lost_tails, 2);
+        for (pos, corrupted) in overwrites(log) {
+            if let Some(restored) = restore(&manifest, &with_log(&corrupted)) {
+                assert_eq!(Some(&restored), states.last(), "shard {victim} overwrite at {pos}");
+            }
+        }
     }
 
     #[test]
@@ -775,16 +554,12 @@ mod tests {
         let mut service = karate_sharded(2);
         service.ingest(&[EdgeEvent::Add { u: 0, v: 33, weight: 1.0 }]).unwrap();
         service.ingest(&[EdgeEvent::Add { u: 1, v: 20, weight: 1.0 }]).unwrap();
-        let mut logs: Vec<Vec<ShardJournalEntry>> = service
-            .shard_journal_logs()
-            .iter()
-            .map(|log| router::parse_shard_log(log).unwrap())
-            .collect();
+        let mut workers = parsed_workers(&service);
         // Drop every primary entry of batch 0: the merge must notice the gap.
-        for log in &mut logs {
-            log.retain(|e| !(e.primary && e.batch == 0));
+        for worker in &mut workers {
+            worker.entries.retain(|e| !(e.primary && e.batch == 0));
         }
-        let err = merge_primary_entries(&logs).unwrap_err();
+        let err = merge_primary_entries(&workers).unwrap_err();
         assert!(err.to_string().contains("missing"), "{err}");
     }
 }

@@ -4,7 +4,7 @@
 //! # Format
 //!
 //! ```text
-//! qhdcd-shard-manifest v1
+//! qhdcd-shard-manifest v2
 //! checksum <fnv1a over everything below, 16 hex digits>
 //! shards <N>
 //! epoch <E>
@@ -14,8 +14,8 @@
 //! ```
 //!
 //! The **base section** is byte-for-byte a [`ServiceCheckpoint`] text — the
-//! same bytes the unsharded [`StreamingService`](crate::StreamingService)
-//! would checkpoint from the same state (the checkpoint-bytes pin in
+//! same bytes a 1-shard [`StreamingService`](crate::StreamingService) would
+//! checkpoint from the same state (the checkpoint-bytes pin in
 //! `tests/sharded.rs`). Each **slice section** carries one shard's view:
 //!
 //! ```text
@@ -23,7 +23,7 @@
 //! owned <slot>...                (ascending; empty list allowed)
 //! sigma <bits>...                (raw Σtot bits of the owned slots, in order)
 //! entries <count>
-//! <count shard-journal lines>
+//! <count shard-journal lines>    (`<batch> <pos> <batch-length> <p|r> <event>`)
 //! ```
 //!
 //! Sections are delimited by the declared byte lengths and guarded by
@@ -127,8 +127,9 @@ impl ShardSlice {
 
 /// A parsed sharded checkpoint manifest: the base [`ServiceCheckpoint`] text
 /// plus one validated slice per shard. Produced by
-/// [`ShardedService::checkpoint`](crate::ShardedService::checkpoint) and
-/// consumed by [`ShardedService::recover`](crate::ShardedService::recover).
+/// [`StreamingService::checkpoint`](crate::StreamingService::checkpoint) at
+/// more than one shard and consumed by
+/// [`StreamingService::recover_sharded`](crate::StreamingService::recover_sharded).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardManifest {
     /// Number of shards the manifest was cut with.
@@ -141,7 +142,7 @@ pub struct ShardManifest {
 
 impl ShardManifest {
     /// The embedded base checkpoint text — byte-for-byte the
-    /// [`ServiceCheckpoint`](crate::ServiceCheckpoint) the unsharded service
+    /// [`ServiceCheckpoint`](crate::ServiceCheckpoint) a 1-shard service
     /// would produce from the same state.
     pub fn base_text(&self) -> &str {
         &self.base_text
@@ -171,7 +172,7 @@ impl ShardManifest {
         for text in &slice_texts {
             body.push_str(text);
         }
-        format!("qhdcd-shard-manifest v1\nchecksum {:016x}\n{body}", fnv1a(body.as_bytes()))
+        format!("qhdcd-shard-manifest v2\nchecksum {:016x}\n{body}", fnv1a(body.as_bytes()))
     }
 
     /// Parses and validates [`ShardManifest::to_text`] output: global and
@@ -195,7 +196,7 @@ impl ShardManifest {
             Ok((lineno, rest.trim().to_string()))
         };
         let (lineno, version) = expect("qhdcd-shard-manifest")?;
-        if version != "v1" {
+        if version != "v2" {
             return Err(err(lineno + 1, format!("unsupported manifest version `{version}`")));
         }
         let computed = text.splitn(3, '\n').nth(2).map(|body| fnv1a(body.as_bytes()));
@@ -214,7 +215,9 @@ impl ShardManifest {
             body.parse().map_err(|e| err(lineno + 1, format!("invalid epoch `{body}`: {e}")))?;
         let (lineno, body) = expect("base")?;
         let (_, base_len, base_sum) = parse_section_line(lineno, &body, 2)?;
-        let mut slice_decls = Vec::with_capacity(shards);
+        // Both vectors grow from the slice lines actually read: the declared
+        // count is not trusted before the checksums are.
+        let mut slice_decls = Vec::new();
         let mut last_header_line = lineno;
         for expected_id in 0..shards {
             let (lineno, body) = expect("slice")?;
@@ -241,7 +244,7 @@ impl ShardManifest {
         if fnv1a(base_text.as_bytes()) != base_sum {
             return Err(err(0, "checksum mismatch in the base checkpoint section".into()));
         }
-        let mut slices = Vec::with_capacity(shards);
+        let mut slices = Vec::new();
         for (id, &(len, sum)) in slice_decls.iter().enumerate() {
             let slice_text =
                 take_section(&section_bytes, &mut offset, len, &format!("shard {id}"))?;
@@ -329,6 +332,7 @@ mod tests {
                     entries: vec![ShardJournalEntry {
                         batch: 0,
                         pos: 0,
+                        batch_len: 1,
                         primary: true,
                         event: EdgeEvent::Add { u: 0, v: 1, weight: 0.5 },
                     }],
@@ -360,6 +364,17 @@ mod tests {
         // Slice count mismatch: claim 3 shards with 2 slices present.
         let err = ShardManifest::from_text(&text.replace("shards 2", "shards 3")).unwrap_err();
         assert!(matches!(err, StreamError::Manifest { .. }));
+    }
+
+    #[test]
+    fn hostile_shard_counts_are_rejected_without_allocating() {
+        for shards in ["1000000000000000000", "4294967296"] {
+            let text = format!(
+                "qhdcd-shard-manifest v2\nchecksum 0\nshards {shards}\nepoch 0\nbase 0 0\n"
+            );
+            let err = ShardManifest::from_text(&text).unwrap_err();
+            assert!(matches!(err, StreamError::Manifest { .. }), "shards {shards}: {err}");
+        }
     }
 
     #[test]

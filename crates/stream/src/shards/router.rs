@@ -65,13 +65,17 @@ pub(crate) fn route_batch(
 }
 
 /// One line of a shard's journal: which global batch and position the event
-/// came from, whether this shard is the primary holder, and the event itself.
+/// came from, how many events that batch holds, whether this shard is the
+/// primary holder, and the event itself.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ShardJournalEntry {
     /// 0-based global journal batch index.
     pub(crate) batch: u64,
     /// Position of the event within its batch.
     pub(crate) pos: usize,
+    /// Number of events in the batch, so that recovery can tell a complete
+    /// batch from one whose last primary entries a torn log lost.
+    pub(crate) batch_len: usize,
     /// Whether this shard is the primary (lowest-id) owner of the event.
     pub(crate) primary: bool,
     /// The routed event.
@@ -80,24 +84,17 @@ pub(crate) struct ShardJournalEntry {
 
 impl ShardJournalEntry {
     /// Serializes the entry as one line:
-    /// `<batch> <pos> <p|r> add <u> <v> <w>` (and `del` / `upd` / `del_node`
-    /// like the standard event-log verbs). Weights use `{}` formatting, which
-    /// round-trips `f64` values bit-exactly.
+    /// `<batch> <pos> <batch_len> <p|r> add <u> <v> <w>` (and `del` / `upd` /
+    /// `del_node` like the standard event-log verbs). Weights use `{}`
+    /// formatting, which round-trips `f64` values bit-exactly.
     pub(crate) fn to_line(&self) -> String {
         let flag = if self.primary { 'p' } else { 'r' };
+        let head = format!("{} {} {} {flag}", self.batch, self.pos, self.batch_len);
         match self.event {
-            EdgeEvent::Add { u, v, weight } => {
-                format!("{} {} {flag} add {u} {v} {weight}", self.batch, self.pos)
-            }
-            EdgeEvent::Remove { u, v } => {
-                format!("{} {} {flag} del {u} {v}", self.batch, self.pos)
-            }
-            EdgeEvent::Update { u, v, weight } => {
-                format!("{} {} {flag} upd {u} {v} {weight}", self.batch, self.pos)
-            }
-            EdgeEvent::RemoveNode { u } => {
-                format!("{} {} {flag} del_node {u}", self.batch, self.pos)
-            }
+            EdgeEvent::Add { u, v, weight } => format!("{head} add {u} {v} {weight}"),
+            EdgeEvent::Remove { u, v } => format!("{head} del {u} {v}"),
+            EdgeEvent::Update { u, v, weight } => format!("{head} upd {u} {v} {weight}"),
+            EdgeEvent::RemoveNode { u } => format!("{head} del_node {u}"),
         }
     }
 
@@ -118,6 +115,12 @@ impl ShardJournalEntry {
         let pos = next("position")?
             .parse::<usize>()
             .map_err(|e| err(format!("invalid position: {e}")))?;
+        let batch_len = next("batch length")?
+            .parse::<usize>()
+            .map_err(|e| err(format!("invalid batch length: {e}")))?;
+        if pos >= batch_len {
+            return Err(err(format!("position {pos} lies outside its {batch_len}-event batch")));
+        }
         let primary = match next("primary flag")?.as_str() {
             "p" => true,
             "r" => false,
@@ -151,7 +154,7 @@ impl ShardJournalEntry {
         if let Some(extra) = tokens.next() {
             return Err(err(format!("unexpected trailing token `{extra}`")));
         }
-        Ok(ShardJournalEntry { batch, pos, primary, event })
+        Ok(ShardJournalEntry { batch, pos, batch_len, primary, event })
     }
 }
 
@@ -167,7 +170,19 @@ pub(crate) fn entries_to_log(entries: &[ShardJournalEntry]) -> String {
 }
 
 /// Parses [`entries_to_log`] output.
+///
+/// # Errors
+///
+/// [`StreamError::Manifest`] for a malformed entry, or for a non-empty log
+/// whose last line lacks its `\n`: a torn final entry may still parse (a
+/// weight cut from `1.25` to `1.2`), so it is never trusted.
 pub(crate) fn parse_shard_log(text: &str) -> Result<Vec<ShardJournalEntry>, StreamError> {
+    if !text.is_empty() && !text.ends_with('\n') {
+        return Err(StreamError::Manifest {
+            line: text.lines().count(),
+            reason: "shard journal entry is torn (no terminating newline)".into(),
+        });
+    }
     text.lines()
         .enumerate()
         .filter(|(_, line)| !line.trim().is_empty())
@@ -185,24 +200,28 @@ mod tests {
             ShardJournalEntry {
                 batch: 0,
                 pos: 0,
+                batch_len: 2,
                 primary: true,
                 event: EdgeEvent::Add { u: 1, v: 2, weight: 0.1 + 0.2 },
             },
             ShardJournalEntry {
                 batch: 0,
                 pos: 1,
+                batch_len: 2,
                 primary: false,
                 event: EdgeEvent::Remove { u: 3, v: 4 },
             },
             ShardJournalEntry {
                 batch: 2,
                 pos: 0,
+                batch_len: 1,
                 primary: true,
                 event: EdgeEvent::Update { u: 5, v: 5, weight: 1e-300 },
             },
             ShardJournalEntry {
                 batch: 3,
                 pos: 7,
+                batch_len: 8,
                 primary: false,
                 event: EdgeEvent::RemoveNode { u: 9 },
             },
@@ -210,6 +229,10 @@ mod tests {
         let log = entries_to_log(&entries);
         let parsed = parse_shard_log(&log).unwrap();
         assert_eq!(parsed, entries);
+        // A log cut before its final newline is torn, even though the cut
+        // line would parse.
+        let err = parse_shard_log(&log[..log.len() - 1]).unwrap_err();
+        assert!(err.to_string().contains("torn"), "{err}");
         // Weight bits survive the text round trip.
         match (&parsed[0].event, &entries[0].event) {
             (EdgeEvent::Add { weight: a, .. }, EdgeEvent::Add { weight: b, .. }) => {
@@ -222,11 +245,12 @@ mod tests {
     #[test]
     fn malformed_entry_lines_are_rejected_with_context() {
         for bad in [
-            "0 0 p add 1 2",      // missing weight
-            "0 0 x add 1 2 1.0",  // bad flag
-            "0 0 p fuse 1 2 1.0", // unknown verb
-            "0 p add 1 2 1.0",    // missing position
-            "0 0 p del 1 2 junk", // trailing token
+            "0 0 1 p add 1 2",      // missing weight
+            "0 0 1 x add 1 2 1.0",  // bad flag
+            "0 0 1 p fuse 1 2 1.0", // unknown verb
+            "0 1 p add 1 2 1.0",    // missing batch length
+            "0 1 1 p del 1 2",      // position outside the batch
+            "0 0 1 p del 1 2 junk", // trailing token
         ] {
             let err = ShardJournalEntry::parse_line(bad, 5).unwrap_err();
             assert!(matches!(err, StreamError::Manifest { line: 5, .. }), "{bad}: {err}");

@@ -35,8 +35,8 @@ use crate::StreamingDetector;
 use qhdcd_graph::{modularity, NodeId};
 use std::collections::BTreeSet;
 
-/// Per-shard state held by the sharded service: the shard's journal slice and
-/// its liveness flag.
+/// Per-shard state of a service with more than one shard: the shard's journal
+/// slice and its liveness flag.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ShardWorker {
     /// The shard's journal entries, in application order.
@@ -63,7 +63,7 @@ struct Proposal {
     read_set: Vec<usize>,
 }
 
-/// The [`RefineDriver`] installed by the sharded service.
+/// The [`RefineDriver`] a service with more than one shard refines through.
 pub(crate) struct TwoPhaseDriver<'a> {
     ownership: &'a OwnershipTable,
     dead: &'a [bool],
@@ -176,16 +176,6 @@ fn propose_phase(
     let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); ownership.shards()];
     for (i, &node) in nodes.iter().enumerate() {
         per_shard[ownership.owner(labels[node])].push(i);
-    }
-    if ownership.shards() == 1 {
-        // Single shard: propose inline, no threads.
-        if !dead[0] {
-            let mut scan = modularity::NeighborScan::new();
-            for (i, &node) in nodes.iter().enumerate() {
-                out[i] = Some(propose_one(detector, &mut scan, node));
-            }
-        }
-        return out;
     }
     let gathered: Vec<Option<Vec<(usize, Proposal)>>> = std::thread::scope(|s| {
         let handles: Vec<_> = per_shard

@@ -1,9 +1,9 @@
-//! Sharded streaming service: community-owning shards, deterministic
-//! cross-shard moves, per-shard checkpoint/replay.
+//! The streaming service at several shard counts: community-owning shards,
+//! deterministic cross-shard moves, per-shard checkpoint/replay.
 //!
-//! A `ShardedService` spreads the streaming detector over shard workers that
-//! each own whole communities. This example exercises the sharded-layer
-//! guarantees end to end:
+//! `ServiceConfig::shards` spreads the streaming service's refinement over
+//! shard workers that each own whole communities. This example exercises the
+//! shard-layer guarantees end to end:
 //!
 //! 1. the shard count is a pure deployment knob — 1, 2 and 8 shards land on
 //!    bit-identical partitions and maintained quality bits;
@@ -53,7 +53,7 @@ fn main() -> Result<(), StreamError> {
     // 1. The shard count changes parallelism and fault domains, never the
     //    result: run the same stream under 1, 2 and 8 shards.
     let config_for = |shards: usize| {
-        let mut config = ShardedConfig { shards, ..ShardedConfig::default() }.with_seed(7);
+        let mut config = ServiceConfig { shards, ..ServiceConfig::default() }.with_seed(7);
         config.stream.detector = config.stream.detector.with_communities(5).with_seed(7);
         config.checkpoint_every = 4;
         config
@@ -62,7 +62,7 @@ fn main() -> Result<(), StreamError> {
     let mut services = Vec::new();
     for shards in [1usize, 2, 8] {
         let mut service =
-            ShardedService::new(DynamicGraph::from_graph(&pg.graph), config_for(shards))?;
+            StreamingService::new(DynamicGraph::from_graph(&pg.graph), config_for(shards))?;
         for batch in churn.chunks(12) {
             service.ingest(batch)?;
         }
@@ -98,7 +98,7 @@ fn main() -> Result<(), StreamError> {
     assert_eq!(primaries, service.journal().len());
 
     // 3. Crash recovery from the per-shard manifest: the automatic checkpoint
-    //    embeds the unsharded base checkpoint plus one checksummed slice per
+    //    embeds the 1-shard base checkpoint plus one checksummed slice per
     //    shard; manifest + shard journals rebuild the exact state.
     let manifest_text = service.latest_checkpoint().expect("auto checkpoint was cut").to_string();
     let manifest = ShardManifest::from_text(&manifest_text)?;
@@ -108,7 +108,7 @@ fn main() -> Result<(), StreamError> {
         manifest.epoch,
         manifest.base_text().len()
     );
-    let recovered = ShardedService::recover(&manifest_text, &logs, config_for(8))?;
+    let recovered = StreamingService::recover_sharded(&manifest_text, &logs, config_for(8))?;
     assert_eq!(recovered.epoch(), service.epoch());
     assert_eq!(recovered.detector().partition(), service.detector().partition());
     assert_eq!(

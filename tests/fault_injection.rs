@@ -16,7 +16,9 @@
 //!   without wedging the queue;
 //! * a torn checkpoint write is detected structurally on recovery, never
 //!   silently restored;
-//! * queue-full storms lose and reorder nothing under the backoff helper.
+//! * queue-full storms lose and reorder nothing under the backoff helper;
+//! * at more than one shard, a killed shard degrades to read-only, and a
+//!   writer panic resumes from the store bit-identically.
 
 #![cfg(feature = "fault-injection")]
 
@@ -144,8 +146,6 @@ fn torn_checkpoint_writes_are_detected_on_recovery() {
 /// seed alone.
 #[test]
 fn shard_kill_degrades_to_read_only_while_survivors_ingest() {
-    use qhdcd::stream::{ShardedConfig, ShardedService};
-
     // Derive the kill from a seed: the first seed whose plan kills one of
     // our two shards early enough to reach in a short script.
     let (seed, kill_batch, killed) = (0u64..500)
@@ -158,10 +158,10 @@ fn shard_kill_degrades_to_read_only_while_survivors_ingest() {
     // Two cliques of five; with the ground-truth partition, shard s owns
     // community s (balanced assignment over equal sizes).
     let pg = generators::ring_of_cliques(2, 5).unwrap();
-    let config = ShardedConfig {
+    let config = ServiceConfig {
         shards: 2,
         stream: StreamConfig::default().with_seed(9),
-        ..ShardedConfig::default()
+        ..ServiceConfig::default()
     };
     let build = || {
         let detector = StreamingDetector::from_partition(
@@ -170,12 +170,14 @@ fn shard_kill_degrades_to_read_only_while_survivors_ingest() {
             config.stream.clone(),
         )
         .unwrap();
-        ShardedService::from_detector(detector, config.clone()).unwrap()
+        StreamingService::from_detector(detector, config.clone()).unwrap()
     };
     let mut service = build();
     assert_eq!(service.owner_of_community(0), 0);
     assert_eq!(service.owner_of_community(1), 1);
-    service.inject_faults(FaultPlan::from_seed(seed));
+    // Only the seed's kill is installed: the service honours every fault
+    // class at any shard count, and this scenario isolates the shard kill.
+    service.inject_faults(FaultPlan::default().with_shard_kill(kill_batch, killed));
 
     let kn = killed * 5; // first node of the killed shard's clique
     let sn = (1 - killed) * 5; // first node of the survivor's clique
@@ -243,7 +245,7 @@ fn shard_kill_degrades_to_read_only_while_survivors_ingest() {
     // Shard death is an in-memory condition, not a persisted one: the
     // checkpoints agree byte-for-byte, and recovery brings the shard back.
     assert_eq!(service.checkpoint(), reference.checkpoint());
-    let recovered = ShardedService::recover(
+    let recovered = StreamingService::recover_sharded(
         service.latest_checkpoint().unwrap(),
         &service.shard_journal_logs(),
         config.clone(),
@@ -251,6 +253,56 @@ fn shard_kill_degrades_to_read_only_while_survivors_ingest() {
     .unwrap();
     assert!(!recovered.shard_is_dead(killed));
     assert_eq!(recovered.detector().partition(), service.detector().partition());
+}
+
+/// A writer panic at two shards: the store mirrors the manifest and every
+/// shard's journal, so the supervisor's resume replays past the last
+/// checkpoint and ends bit-identical to the uninterrupted run — partition,
+/// quality bits, global and shard journals, and the next manifest.
+#[test]
+fn sharded_writer_panic_resumes_bit_identically_from_the_store() {
+    let config = ServiceConfig { shards: 2, checkpoint_every: 2, ..karate_config() };
+    let batches: Vec<Vec<EdgeEvent>> = (0..6)
+        .map(|i| {
+            vec![
+                EdgeEvent::Add { u: i, v: 33 - i, weight: 1.0 },
+                EdgeEvent::Add { u: 16 + i, v: 2 * i, weight: 0.5 },
+            ]
+        })
+        .collect();
+    let mut service = karate_service(&config);
+    let store = CheckpointStore::new();
+    service.attach_store(&store);
+    service.inject_faults(FaultPlan::default().with_panic_at_batch(4));
+    for batch in &batches[..3] {
+        service.ingest(batch).unwrap();
+    }
+    let outcome = catch_unwind(AssertUnwindSafe(|| service.ingest(&batches[3])));
+    assert!(outcome.is_err(), "the injected panic must surface");
+    drop(service);
+
+    // The store's manifest is the automatic one at batch 2; the shard logs
+    // run one batch past it.
+    let mut resumed = StreamingService::resume_from_store(&store, config.clone()).unwrap();
+    assert_eq!(resumed.epoch(), 3);
+    for batch in &batches[3..] {
+        resumed.ingest(batch).unwrap();
+    }
+
+    let mut reference = karate_service(&config);
+    for batch in &batches {
+        reference.ingest(batch).unwrap();
+    }
+    assert_eq!(
+        resumed.detector().modularity().to_bits(),
+        reference.detector().modularity().to_bits()
+    );
+    assert_eq!(resumed.detector().partition(), reference.detector().partition());
+    assert_eq!(resumed.journal_log(), reference.journal_log());
+    assert_eq!(resumed.shard_journal_logs(), reference.shard_journal_logs());
+    assert_eq!(resumed.checkpoint(), reference.checkpoint());
+    // The resumed service is re-attached: the store follows it.
+    assert_eq!(store.shard_journal_logs(), resumed.shard_journal_logs());
 }
 
 #[test]
@@ -298,18 +350,27 @@ fn queue_full_storms_lose_and_reorder_nothing() {
     );
 }
 
-/// Randomized (but seed-deterministic) sweep: for every seed, drive a fixed
-/// event script through a service with the derived fault plan installed.
-/// Whatever the plan throws at it, the run must terminate, account for every
-/// batch, and recovery must either succeed bit-exactly or fail structurally.
-/// Runs under `--ignored` in the nightly CI sweep.
+/// Randomized (but seed-deterministic) sweep: for every seed and for one and
+/// two shards, drive a fixed event script through a service with the derived
+/// fault plan installed. Whatever the plan throws at it, the run must
+/// terminate, account for every batch, and recovery must either succeed
+/// bit-exactly or fail structurally. A batch routed to a killed shard is
+/// quarantined like a poisoned one. Runs under `--ignored` in the nightly CI
+/// sweep.
 #[test]
 #[ignore = "nightly sweep: run with --ignored"]
 fn randomized_fault_plan_sweep() {
+    for shards in [1usize, 2] {
+        sweep_fault_plans(shards);
+    }
+}
+
+fn sweep_fault_plans(shards: usize) {
     'seeds: for seed in 0..48u64 {
         let plan = FaultPlan::from_seed(seed);
         let mut config = karate_config();
         config.max_validation_attempts = 2;
+        config.shards = shards;
         let mut service = karate_service(&config);
         let store = CheckpointStore::new();
         service.attach_store(&store);
@@ -322,11 +383,15 @@ fn randomized_fault_plan_sweep() {
         let mut batch_idx = 0usize;
         while batch_idx < 8 {
             let events = [EdgeEvent::Add { u: 0, v: 20 + batch_idx, weight: 1.0 }];
-            client.try_submit(&events).unwrap_or_else(|e| panic!("seed {seed}: submit: {e}"));
+            client
+                .try_submit(&events)
+                .unwrap_or_else(|e| panic!("shards {shards} seed {seed}: submit: {e}"));
             match catch_unwind(AssertUnwindSafe(|| service.step())) {
                 Ok(Ok(Some(_))) => applied += 1,
                 Ok(Ok(None)) => dead += 1,
-                Ok(Err(e)) => panic!("seed {seed}: quarantine must absorb errors, got {e}"),
+                Ok(Err(e)) => {
+                    panic!("shards {shards} seed {seed}: quarantine must absorb errors, got {e}")
+                }
                 Err(_) => {
                     // Writer death. The supervisor path: drop the dead
                     // service, rebuild from the store, re-drive this batch
@@ -340,28 +405,28 @@ fn randomized_fault_plan_sweep() {
                             client = service.client();
                             continue; // retry the same batch, faults now clear
                         }
-                        Err(StreamError::Checkpoint { .. }) => {
+                        Err(StreamError::Checkpoint { .. } | StreamError::Manifest { .. }) => {
                             // A torn checkpoint was detected structurally —
                             // a legitimate terminal outcome for this seed.
                             continue 'seeds;
                         }
-                        Err(other) => panic!("seed {seed}: unexpected {other}"),
+                        Err(other) => panic!("shards {shards} seed {seed}: unexpected {other}"),
                     }
                 }
             }
             batch_idx += 1;
         }
-        assert_eq!(applied + dead, 8, "seed {seed}: unaccounted batches");
-        assert!(crashes <= 1, "seed {seed}: the panic fault fires at most once");
-        assert_eq!(service.epoch(), applied, "seed {seed}: epoch drifted");
+        assert_eq!(applied + dead, 8, "shards {shards} seed {seed}: unaccounted batches");
+        assert!(crashes <= 1, "shards {shards} seed {seed}: the panic fault fires at most once");
+        assert_eq!(service.epoch(), applied, "shards {shards} seed {seed}: epoch drifted");
         assert_eq!(
             service.dead_letters().len() as u64 + letters_lost,
             dead,
-            "seed {seed}: dead letters unaccounted"
+            "shards {shards} seed {seed}: dead letters unaccounted"
         );
         // The store always holds a recoverable state at the end.
         let resumed = StreamingService::resume_from_store(&store, config.clone())
-            .unwrap_or_else(|e| panic!("seed {seed}: final resume: {e}"));
-        assert_eq!(resumed.epoch(), service.epoch(), "seed {seed}: resume drifted");
+            .unwrap_or_else(|e| panic!("shards {shards} seed {seed}: final resume: {e}"));
+        assert_eq!(resumed.epoch(), service.epoch(), "shards {shards} seed {seed}: resume drifted");
     }
 }

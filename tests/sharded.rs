@@ -1,11 +1,13 @@
-//! Integration tests of the partition-aligned sharded streaming service.
+//! Integration tests of the streaming service at more than one shard.
 //!
-//! The contract under test: the shard count is a **pure deployment knob** —
-//! for the same graph, seed and event sequence, a `ShardedService` with 1, 2
-//! or 8 shards lands on bit-identical partitions, maintained quality bits and
-//! checkpoint base bytes as the unsharded `StreamingService`, and per-shard
-//! checkpoint manifests recover bit-identically from every batch boundary.
-//! The long churn sweep at the bottom is `#[ignore]`d (nightly CI job).
+//! The contract under test: `ServiceConfig::shards` is a **pure deployment
+//! knob** — for the same graph, seed and event sequence, a `StreamingService`
+//! with 1, 2 or 8 shards lands on bit-identical partitions, maintained
+//! quality bits, journals and checkpoint base bytes, drains the queue in the
+//! same `max_batch` batches, quarantines the same poisoned batches, and
+//! per-shard checkpoint manifests recover bit-identically from every batch
+//! boundary. The long churn sweep at the bottom is `#[ignore]`d (nightly CI
+//! job).
 
 use qhdcd::graph::generators;
 use qhdcd::prelude::*;
@@ -68,41 +70,18 @@ fn churn_batches(
     batches
 }
 
-fn seeded_detector(
-    graph: &Graph,
-    partition: &Partition,
-    stream: StreamConfig,
-) -> StreamingDetector {
-    StreamingDetector::from_partition(DynamicGraph::from_graph(graph), partition.clone(), stream)
-        .unwrap()
-}
-
-fn sharded(graph: &Graph, partition: &Partition, config: ShardedConfig) -> ShardedService {
-    let detector = seeded_detector(graph, partition, config.stream.clone());
-    ShardedService::from_detector(detector, config).unwrap()
-}
-
-fn unsharded(graph: &Graph, partition: &Partition, config: ServiceConfig) -> StreamingService {
-    let detector = seeded_detector(graph, partition, config.stream.clone());
+fn seeded_service(graph: &Graph, partition: &Partition, config: ServiceConfig) -> StreamingService {
+    let detector = StreamingDetector::from_partition(
+        DynamicGraph::from_graph(graph),
+        partition.clone(),
+        config.stream.clone(),
+    )
+    .unwrap();
     StreamingService::from_detector(detector, config).unwrap()
 }
 
-/// The full bit-level fingerprint of a sharded service's mutable state.
-fn fingerprint(service: &ShardedService) -> (u64, Partition, u64, u64, u64, usize, String) {
-    (
-        service.detector().modularity().to_bits(),
-        service.detector().partition(),
-        service.epoch(),
-        service.detector().batches_applied(),
-        service.detector().full_redetects(),
-        service.journal().len(),
-        service.journal_log(),
-    )
-}
-
-fn unsharded_fingerprint(
-    service: &StreamingService,
-) -> (u64, Partition, u64, u64, u64, usize, String) {
+/// The full bit-level fingerprint of a service's mutable state.
+fn fingerprint(service: &StreamingService) -> (u64, Partition, u64, u64, u64, usize, String) {
     (
         service.detector().modularity().to_bits(),
         service.detector().partition(),
@@ -118,17 +97,28 @@ fn churn_config() -> StreamConfig {
     StreamConfig { drift_threshold: 0.15, ..StreamConfig::default() }.with_seed(23)
 }
 
+/// The base checkpoint text of `checkpoint`: the text itself at one shard,
+/// the manifest's base section at more.
+fn base_text(checkpoint: String, shards: usize) -> String {
+    if shards == 1 {
+        return checkpoint;
+    }
+    let manifest = ShardManifest::from_text(&checkpoint).unwrap();
+    assert_eq!(manifest.shards, shards);
+    manifest.base_text().to_string()
+}
+
 /// The headline acceptance criterion: for 1, 2 and 8 shards, a mixed event
 /// sequence (including node deletions and drift-triggered full re-detects,
 /// which renumber communities and force an ownership re-derivation) lands on
 /// the **bit-identical** final partition, maintained quality bits, journal
-/// and checkpoint base bytes as the unsharded service.
+/// and checkpoint base bytes.
 #[test]
 fn sharded_runs_are_bit_identical_to_unsharded_for_1_2_8_shards() {
     let pg = generators::ring_of_cliques(5, 6).unwrap();
     let batches = churn_batches(&mut DynamicGraph::from_graph(&pg.graph), 99, 12, 6);
 
-    let mut reference = unsharded(
+    let mut reference = seeded_service(
         &pg.graph,
         &pg.ground_truth,
         ServiceConfig { stream: churn_config(), ..ServiceConfig::default() },
@@ -140,25 +130,26 @@ fn sharded_runs_are_bit_identical_to_unsharded_for_1_2_8_shards() {
         reference.detector().full_redetects() > 0,
         "the sequence should cross the epoch-fallback (ownership re-derivation) path"
     );
-    let reference_state = unsharded_fingerprint(&reference);
+    let reference_state = fingerprint(&reference);
     let reference_checkpoint = reference.checkpoint();
 
     for shards in [1usize, 2, 8] {
-        let mut service = sharded(
+        let mut service = seeded_service(
             &pg.graph,
             &pg.ground_truth,
-            ShardedConfig { shards, stream: churn_config(), ..ShardedConfig::default() },
+            ServiceConfig { shards, stream: churn_config(), ..ServiceConfig::default() },
         );
         for batch in &batches {
             service.ingest(batch).unwrap();
         }
         assert_eq!(fingerprint(&service), reference_state, "shards={shards}");
-        // The manifest's base section is byte-for-byte the unsharded
-        // checkpoint, so any unsharded tooling can read a sharded manifest.
-        let manifest = ShardManifest::from_text(&service.checkpoint()).unwrap();
-        assert_eq!(manifest.shards, shards);
-        assert_eq!(manifest.epoch, service.epoch());
-        assert_eq!(manifest.base_text(), reference_checkpoint, "shards={shards}");
+        // The manifest's base section is byte-for-byte the 1-shard
+        // checkpoint, so any 1-shard tooling can read a sharded manifest.
+        let checkpoint = service.checkpoint();
+        if shards > 1 {
+            assert_eq!(ShardManifest::from_text(&checkpoint).unwrap().epoch, service.epoch());
+        }
+        assert_eq!(base_text(checkpoint, shards), reference_checkpoint, "shards={shards}");
     }
 }
 
@@ -170,10 +161,10 @@ fn sharded_runs_are_bit_identical_to_unsharded_for_1_2_8_shards() {
 #[test]
 fn sharded_recovery_is_bit_identical_at_every_crash_point() {
     let pg = generators::ring_of_cliques(5, 6).unwrap();
-    let config = ShardedConfig { shards: 3, stream: churn_config(), ..ShardedConfig::default() };
+    let config = ServiceConfig { shards: 3, stream: churn_config(), ..ServiceConfig::default() };
     let batches = churn_batches(&mut DynamicGraph::from_graph(&pg.graph), 99, 12, 6);
 
-    let mut service = sharded(&pg.graph, &pg.ground_truth, config.clone());
+    let mut service = seeded_service(&pg.graph, &pg.ground_truth, config.clone());
     let mut manifests = vec![service.checkpoint()];
     for batch in &batches {
         service.ingest(batch).unwrap();
@@ -184,7 +175,8 @@ fn sharded_recovery_is_bit_identical_at_every_crash_point() {
     let final_manifest = manifests.last().unwrap().clone();
 
     for (crash_point, manifest) in manifests.iter().enumerate() {
-        let mut recovered = ShardedService::recover(manifest, &logs, config.clone()).unwrap();
+        let mut recovered =
+            StreamingService::recover_sharded(manifest, &logs, config.clone()).unwrap();
         assert_eq!(
             fingerprint(&recovered),
             reference,
@@ -196,17 +188,19 @@ fn sharded_recovery_is_bit_identical_at_every_crash_point() {
 }
 
 /// Recovery refuses mismatched inputs instead of silently restoring mixed
-/// state: wrong shard count, missing journal logs, journal logs behind the
-/// manifest, corrupted manifest text.
+/// state: wrong shard count, the wrong recovery path for the shard count,
+/// missing journal logs, journal logs behind the manifest, corrupted manifest
+/// text.
 #[test]
 fn sharded_recovery_rejects_mismatched_inputs() {
     let graph = generators::karate_club();
-    let config = ShardedConfig {
+    let config = ServiceConfig {
         shards: 2,
         stream: StreamConfig::default().with_seed(7),
-        ..ShardedConfig::default()
+        ..ServiceConfig::default()
     };
-    let mut service = sharded(&graph, &generators::karate_club_communities(), config.clone());
+    let mut service =
+        seeded_service(&graph, &generators::karate_club_communities(), config.clone());
     for batch in [
         vec![
             EdgeEvent::Add { u: 0, v: 33, weight: 1.0 },
@@ -220,15 +214,25 @@ fn sharded_recovery_rejects_mismatched_inputs() {
     let logs = service.shard_journal_logs();
 
     // Sanity: the intact inputs recover.
-    ShardedService::recover(&manifest, &logs, config.clone()).unwrap();
+    StreamingService::recover_sharded(&manifest, &logs, config.clone()).unwrap();
 
     // Shard-count mismatch between the manifest and the recovery config.
-    let three = ShardedConfig { shards: 3, ..config.clone() };
-    let err = ShardedService::recover(&manifest, &vec![logs[0].clone(); 3], three).unwrap_err();
+    let three = ServiceConfig { shards: 3, ..config.clone() };
+    let err =
+        StreamingService::recover_sharded(&manifest, &vec![logs[0].clone(); 3], three).unwrap_err();
     assert!(err.to_string().contains("2 shards"), "{err}");
 
+    // Each shard count has one recovery path: a manifest needs more than one
+    // shard, a plain checkpoint exactly one.
+    let one = ServiceConfig { shards: 1, ..config.clone() };
+    let err = StreamingService::recover_sharded(&manifest, &logs, one).unwrap_err();
+    assert!(matches!(err, StreamError::InvalidConfig { .. }), "{err}");
+    let err =
+        StreamingService::recover(&manifest, &service.journal_log(), config.clone()).unwrap_err();
+    assert!(matches!(err, StreamError::InvalidConfig { .. }), "{err}");
+
     // Too few journal logs for the shard count.
-    let err = ShardedService::recover(&manifest, &logs[..1], config.clone()).unwrap_err();
+    let err = StreamingService::recover_sharded(&manifest, &logs[..1], config.clone()).unwrap_err();
     assert!(err.to_string().contains("journal logs"), "{err}");
 
     // A journal log behind its manifest slice (lost tail) is named.
@@ -236,7 +240,7 @@ fn sharded_recovery_rejects_mismatched_inputs() {
     let mut truncated = logs.clone();
     truncated[victim] =
         truncated[victim].lines().next().map(|l| format!("{l}\n")).unwrap_or_default();
-    match ShardedService::recover(&manifest, &truncated, config.clone()) {
+    match StreamingService::recover_sharded(&manifest, &truncated, config.clone()) {
         Err(StreamError::Manifest { reason, .. }) => {
             assert!(reason.contains(&format!("shard {victim}")), "{reason}");
         }
@@ -245,46 +249,123 @@ fn sharded_recovery_rejects_mismatched_inputs() {
 
     // Corrupted manifest text fails the checksum lattice.
     let corrupted = manifest.replace("qhdcd-service v2", "qhdcd-service v9");
-    let err = ShardedService::recover(&corrupted, &logs, config.clone()).unwrap_err();
+    let err = StreamingService::recover_sharded(&corrupted, &logs, config.clone()).unwrap_err();
     assert!(err.to_string().contains("checksum mismatch"), "{err}");
 
-    // A quality-function mismatch is refused up front, like the unsharded
+    // A quality-function mismatch is refused up front, like the 1-shard
     // recovery path.
-    let cpm = ShardedConfig {
+    let cpm = ServiceConfig {
         stream: StreamConfig::default().with_seed(7).with_quality(QualityFunction::cpm(0.05)),
         ..config
     };
-    let err = ShardedService::recover(&manifest, &logs, cpm).unwrap_err();
+    let err = StreamingService::recover_sharded(&manifest, &logs, cpm).unwrap_err();
     assert!(matches!(err, StreamError::Checkpoint { .. }), "{err}");
 }
 
 /// The queue-driven path (client submissions drained by `step`) and direct
-/// `ingest` calls are the same computation on the sharded service too.
+/// `ingest` calls are the same computation at every shard count, and `step`
+/// drains at most `max_batch` events: a backlog regroups into the same
+/// journal batches at 1, 2 and 8 shards.
 #[test]
 fn queued_and_direct_sharded_ingestion_agree() {
     let pg = generators::ring_of_cliques(4, 6).unwrap();
-    let config = ShardedConfig {
-        shards: 2,
-        stream: StreamConfig { drift_threshold: 0.2, ..StreamConfig::default() }.with_seed(11),
-        ..ShardedConfig::default()
-    };
+    let stream = StreamConfig { drift_threshold: 0.2, ..StreamConfig::default() }.with_seed(11);
     let batches = churn_batches(&mut DynamicGraph::from_graph(&pg.graph), 7, 8, 5);
+    let backlog: Vec<EdgeEvent> = batches.concat();
 
-    let mut direct = sharded(&pg.graph, &pg.ground_truth, config.clone());
+    let mut regrouped_reference = None;
+    for shards in [1usize, 2, 8] {
+        let config = ServiceConfig { shards, stream: stream.clone(), ..ServiceConfig::default() };
+        let mut direct = seeded_service(&pg.graph, &pg.ground_truth, config.clone());
+        for batch in &batches {
+            direct.ingest(batch).unwrap();
+        }
+
+        // max_batch matches the submission size: the queue applies exactly
+        // the batches the direct path did.
+        let mut queued = seeded_service(
+            &pg.graph,
+            &pg.ground_truth,
+            ServiceConfig { max_batch: 5, ..config.clone() },
+        );
+        let client = queued.client();
+        for batch in &batches {
+            client.try_submit(batch).unwrap();
+            queued.drain().unwrap();
+        }
+        assert_eq!(fingerprint(&direct), fingerprint(&queued), "shards={shards}");
+        assert_eq!(direct.shard_journal_logs(), queued.shard_journal_logs(), "shards={shards}");
+        assert_eq!(queued.latest_snapshot().epoch(), queued.epoch());
+
+        // A whole backlog queued at once: every step drains at most
+        // max_batch events, in submission order.
+        let mut regrouped = seeded_service(
+            &pg.graph,
+            &pg.ground_truth,
+            ServiceConfig { max_batch: 3, ..config.clone() },
+        );
+        regrouped.client().try_submit(&backlog).unwrap();
+        let stats = regrouped.drain().unwrap();
+        assert!(stats.iter().all(|s| s.events_applied <= 3), "shards={shards}");
+        assert_eq!(stats.len(), backlog.len().div_ceil(3), "shards={shards}");
+        assert_eq!(regrouped.journal().num_batches(), stats.len());
+        // The journal's batch boundaries (its timestamp column) and the
+        // state they produce match the 1-shard run.
+        let state = fingerprint(&regrouped);
+        match &regrouped_reference {
+            None => regrouped_reference = Some(state),
+            Some(reference) => assert_eq!(&state, reference, "shards={shards}"),
+        }
+    }
+}
+
+/// Poisoned-batch quarantine at every shard count: a batch with one invalid
+/// event among valid ones is dead-lettered whole after
+/// `max_validation_attempts`, the queue keeps draining, and the final state
+/// equals the 1-shard run and a direct run that never saw the batch.
+#[test]
+fn sharded_quarantine_dead_letters_poisoned_batches_and_keeps_draining() {
+    let pg = generators::ring_of_cliques(5, 6).unwrap();
+    let batches = churn_batches(&mut DynamicGraph::from_graph(&pg.graph), 99, 12, 6);
+    let mut poisoned = vec![EdgeEvent::Add { u: 0, v: 1, weight: 1.0 }; 5];
+    poisoned.push(EdgeEvent::Add { u: 2, v: 3, weight: f64::NAN });
+
+    let mut direct = seeded_service(
+        &pg.graph,
+        &pg.ground_truth,
+        ServiceConfig { stream: churn_config(), ..ServiceConfig::default() },
+    );
     for batch in &batches {
         direct.ingest(batch).unwrap();
     }
+    let reference = fingerprint(&direct);
 
-    let mut queued = sharded(&pg.graph, &pg.ground_truth, config);
-    let client = queued.client();
-    for batch in &batches {
-        // Submit then drain immediately so the queue regroups events into the
-        // same batches the direct path applied.
-        client.try_submit(batch).unwrap();
-        queued.drain().unwrap();
+    for shards in [1usize, 2, 8] {
+        let config = ServiceConfig {
+            shards,
+            stream: churn_config(),
+            max_batch: 6,
+            max_validation_attempts: 2,
+            ..ServiceConfig::default()
+        };
+        let mut service = seeded_service(&pg.graph, &pg.ground_truth, config);
+        let client = service.client();
+        for (i, batch) in batches.iter().enumerate() {
+            if i == 5 {
+                client.try_submit(&poisoned).unwrap();
+            }
+            client.try_submit(batch).unwrap();
+        }
+        let stats = service.drain().unwrap();
+        assert_eq!(stats.len(), batches.len(), "shards={shards}");
+        assert_eq!(client.queued(), 0);
+        let letters = service.dead_letters();
+        assert_eq!(letters.len(), 1, "shards={shards}");
+        assert_eq!(letters[0].attempts, 2);
+        assert_eq!(letters[0].batch.len(), poisoned.len());
+        assert!(matches!(letters[0].error, StreamError::EventFailed { index: 5, .. }));
+        assert_eq!(fingerprint(&service), reference, "shards={shards}");
     }
-    assert_eq!(fingerprint(&direct), fingerprint(&queued));
-    assert_eq!(queued.latest_snapshot().epoch(), queued.epoch());
 }
 
 /// Ownership re-derivation after a drift-triggered full re-detect is
@@ -293,17 +374,17 @@ fn queued_and_direct_sharded_ingestion_agree() {
 #[test]
 fn ownership_rederivation_is_deterministic_and_total() {
     let pg = generators::ring_of_cliques(4, 5).unwrap();
-    let config = ShardedConfig {
+    let config = ServiceConfig {
         shards: 3,
         // Aggressive drift threshold: every few batches trigger a full
         // re-detect, renumbering communities and re-deriving ownership.
         stream: StreamConfig { drift_threshold: 0.05, ..StreamConfig::default() }.with_seed(5),
-        ..ShardedConfig::default()
+        ..ServiceConfig::default()
     };
     let batches = churn_batches(&mut DynamicGraph::from_graph(&pg.graph), 42, 10, 5);
 
-    let run = |config: ShardedConfig| {
-        let mut service = sharded(&pg.graph, &pg.ground_truth, config);
+    let run = |config: ServiceConfig| {
+        let mut service = seeded_service(&pg.graph, &pg.ground_truth, config);
         for batch in &batches {
             service.ingest(batch).unwrap();
         }
@@ -325,7 +406,7 @@ fn ownership_rederivation_is_deterministic_and_total() {
 }
 
 /// Long sharded churn sweep: 10k events over a mid-size planted-partition
-/// graph, pinned bit-identical to the unsharded run for 2 and 8 shards, with
+/// graph, pinned bit-identical to the 1-shard run for 2 and 8 shards, with
 /// per-shard recovery from several distinct crash points. Nightly only
 /// (`--ignored`).
 #[test]
@@ -344,7 +425,7 @@ fn long_sharded_churn_sweep_is_bit_identical_and_recoverable() {
     let batches = churn_batches(&mut DynamicGraph::from_graph(&pg.graph), 77, 400, 25);
     assert!(batches.iter().map(Vec::len).sum::<usize>() >= 9_000);
 
-    let mut reference = unsharded(
+    let mut reference = seeded_service(
         &pg.graph,
         &pg.ground_truth,
         ServiceConfig { stream: stream.clone(), ..ServiceConfig::default() },
@@ -352,12 +433,12 @@ fn long_sharded_churn_sweep_is_bit_identical_and_recoverable() {
     for batch in &batches {
         reference.ingest(batch).unwrap();
     }
-    let reference_state = unsharded_fingerprint(&reference);
+    let reference_state = fingerprint(&reference);
     let reference_checkpoint = reference.checkpoint();
 
     for shards in [2usize, 8] {
-        let config = ShardedConfig { shards, stream: stream.clone(), ..ShardedConfig::default() };
-        let mut service = sharded(&pg.graph, &pg.ground_truth, config.clone());
+        let config = ServiceConfig { shards, stream: stream.clone(), ..ServiceConfig::default() };
+        let mut service = seeded_service(&pg.graph, &pg.ground_truth, config.clone());
         let mut manifests = Vec::new();
         for (i, batch) in batches.iter().enumerate() {
             service.ingest(batch).unwrap();
@@ -366,15 +447,15 @@ fn long_sharded_churn_sweep_is_bit_identical_and_recoverable() {
             }
         }
         assert_eq!(fingerprint(&service), reference_state, "shards={shards}");
-        let final_manifest = service.checkpoint();
         assert_eq!(
-            ShardManifest::from_text(&final_manifest).unwrap().base_text(),
+            base_text(service.checkpoint(), shards),
             reference_checkpoint,
             "shards={shards}"
         );
         let logs = service.shard_journal_logs();
         for (crash_point, manifest) in &manifests {
-            let recovered = ShardedService::recover(manifest, &logs, config.clone()).unwrap();
+            let recovered =
+                StreamingService::recover_sharded(manifest, &logs, config.clone()).unwrap();
             assert_eq!(
                 fingerprint(&recovered),
                 reference_state,
