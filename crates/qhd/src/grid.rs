@@ -6,21 +6,19 @@
 //! propagator (a tridiagonal solve — "only matrix operations", as the paper
 //! emphasises), the diagonal potential phase, and measurement helpers.
 //!
-//! Two call shapes share **one** set of scalar kernels (in
-//! [`crate::kernels`]):
+//! Two call shapes share **one** set of scalar kernels (the private
+//! `kernels` module):
 //!
 //! * **per-variable** kernels ([`Grid::kinetic_step`],
 //!   [`Grid::apply_linear_potential_phase`], …) operating on one AoS
 //!   `&mut [Complex]` wavefunction — thin `n = 1` wrappers over the batched
-//!   scalar reference, always taking the scalar path regardless of the
-//!   selected SIMD backend;
+//!   kernels;
 //! * **batched** kernels ([`Grid::kinetic_step_batch`],
 //!   [`Grid::apply_potential_phase_batch`], …) operating on a whole
-//!   [`WaveBatch`] of split-plane wavefunctions at once, dispatched through
-//!   [`crate::kernels`] to the active backend. The Crank–Nicolson system is
-//!   *identical for every variable within a step* (it depends only on the
-//!   kinetic coefficient, `dt` and the grid spacing), so the batched path
-//!   factors it **once per step** into [`ThomasFactors`] and then runs a
+//!   [`WaveBatch`] of split-plane wavefunctions at once. The Crank–Nicolson
+//!   system is *identical for every variable within a step* (it depends only
+//!   on the kinetic coefficient, `dt` and the grid spacing), so the batched
+//!   path factors it **once per step** into [`ThomasFactors`] and then runs a
 //!   single allocation-free forward/backward sweep over the whole batch.
 
 use crate::batch::{MeanFieldWorkspace, WaveBatch};
@@ -223,10 +221,9 @@ impl Grid {
 
     /// Applies the linear-potential phase `ψ(x) ← e^{-i·dt·slope·x} ψ(x)` in
     /// place — the `n = 1` form of [`Grid::apply_potential_phase_batch`],
-    /// running the *same* scalar phase-rotation recurrence (one `sin`/`cos`
-    /// for the whole grid, never the SIMD path). The mean-field potential is
-    /// always linear in `x`, so this is the only potential shape the engine
-    /// needs.
+    /// running the *same* phase-rotation recurrence (one `sin`/`cos` for the
+    /// whole grid). The mean-field potential is always linear in `x`, so this
+    /// is the only potential shape the engine needs.
     ///
     /// # Panics
     ///
@@ -239,7 +236,7 @@ impl Grid {
         let (sin, cos) = (-dt * slope * self.spacing).sin_cos();
         let (u_re, u_im) = ([cos], [sin]);
         let (mut cur_re, mut cur_im) = ([0.0], [0.0]);
-        kernels::scalar::apply_prepared_phase(
+        kernels::apply_prepared_phase(
             &mut re,
             &mut im,
             &u_re,
@@ -248,8 +245,6 @@ impl Grid {
             &mut cur_im,
             1,
             res,
-            0,
-            1,
         );
         merge_planes(psi, &re, &im);
     }
@@ -261,8 +256,7 @@ impl Grid {
     /// a single tridiagonal solve per step — unconditionally stable and exactly
     /// norm-preserving up to floating-point error. The `n = 1` form of
     /// [`Grid::kinetic_step_batch`]: it factors the system
-    /// ([`ThomasFactors`]) and runs the same scalar Thomas sweep (never the
-    /// SIMD path).
+    /// ([`ThomasFactors`]) and runs the same Thomas sweep.
     ///
     /// # Panics
     ///
@@ -275,7 +269,7 @@ impl Grid {
         let (mut re, mut im) = split_planes(psi);
         let mut d_re = vec![0.0; res];
         let mut d_im = vec![0.0; res];
-        kernels::scalar::thomas_sweep(&mut re, &mut im, &mut d_re, &mut d_im, &factors, 1, 0, 1);
+        kernels::thomas_sweep(&mut re, &mut im, &mut d_re, &mut d_im, &factors, 1);
         merge_planes(psi, &re, &im);
     }
 
@@ -290,7 +284,7 @@ impl Grid {
         assert_eq!(psi.len(), self.points.len(), "state length must match grid");
         let (re, im) = split_planes(psi);
         let (mut num, mut den) = ([0.0], [0.0]);
-        kernels::scalar::expectation_rows(&re, &im, &self.points, &mut num, &mut den, 1, 0, 1);
+        kernels::expectation_rows(&re, &im, &self.points, &mut num, &mut den, 1);
         if den[0] > 0.0 {
             num[0] / den[0]
         } else {
@@ -462,7 +456,7 @@ impl Grid {
         if n == 0 {
             return;
         }
-        // See kernels::scalar::thomas_sweep for the specialised
+        // See kernels::thomas_sweep for the specialised
         // fixed-structure arithmetic (the diagonals are 1 ± i·d and the
         // off-diagonals ±i·a with real d, a, so the rhs is fused into the
         // forward sweep with ~40 % fewer multiplications than
@@ -552,7 +546,7 @@ impl Grid {
         assert_eq!(psi.len(), self.points.len(), "state length must match grid");
         let (re, im) = split_planes(psi);
         let (mut upper, mut total) = ([0.0], [0.0]);
-        kernels::scalar::probability_rows(&re, &im, &self.points, &mut upper, &mut total, 1, 0, 1);
+        kernels::probability_rows(&re, &im, &self.points, &mut upper, &mut total, 1);
         if total[0] > 0.0 {
             upper[0] / total[0]
         } else {

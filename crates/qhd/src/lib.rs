@@ -47,19 +47,13 @@
 //! # }
 //! ```
 
-// `unsafe` exists solely inside the feature-gated SIMD kernel backends
-// (`kernels::avx2` / `kernels::neon`) and the guarded dispatch calls into
-// them: default builds still forbid it outright, and `simd` builds deny it
-// everywhere except those modules and the dispatch entry points, which opt
-// in explicitly.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;
 pub mod complex;
 pub mod grid;
-pub mod kernels;
+mod kernels;
 pub mod meanfield;
 pub mod refine;
 pub mod schedule;
@@ -68,6 +62,5 @@ pub mod statevector;
 
 pub use batch::{MeanFieldWorkspace, WaveBatch};
 pub use grid::ThomasFactors;
-pub use kernels::KernelBackend;
 pub use schedule::{Phase, Schedule};
 pub use solver::{Backend, QhdConfig, QhdConfigBuilder, QhdSolver};

@@ -33,10 +33,9 @@
 //! thread count (see the determinism contract in [`crate::batch`]).
 //!
 //! [`evolve_reference`] retains the per-variable AoS formulation (one
-//! [`Grid::kinetic_step`] call per variable per step, always on the scalar
-//! kernels). It exists as the equivalence reference for the batch engine —
-//! see `tests/solver_equivalence.rs` — and is not otherwise used by the
-//! solver.
+//! [`Grid::kinetic_step`] call per variable per step). It exists as the
+//! equivalence reference for the batch engine — see
+//! `tests/solver_equivalence.rs` — and is not otherwise used by the solver.
 
 use crate::batch::{MeanFieldWorkspace, WaveBatch};
 use crate::complex::Complex;
@@ -358,14 +357,12 @@ fn sweep_block(
 /// Runs one mean-field QHD trajectory on the **per-variable AoS path**: one
 /// `Vec<Complex>` wavefunction per variable, one [`Grid::kinetic_step`] /
 /// [`Grid::apply_linear_potential_phase`] call (each an `n = 1` wrapper over
-/// the scalar reference kernels, with per-call split/merge and scratch
-/// allocations) per variable per step.
+/// the batched kernels, with per-call split/merge and scratch allocations)
+/// per variable per step.
 ///
 /// Retained as the equivalence reference for the batched engine:
 /// `tests/solver_equivalence.rs` pins the two paths to bit-identical
-/// outcomes, and because the wrappers always take the *scalar* kernel path,
-/// the pin also covers the SIMD backends whenever one is active for
-/// [`evolve`]. Both paths share [`measure_shots`], so any divergence isolates
+/// outcomes. Both paths share [`measure_shots`], so any divergence isolates
 /// to the propagation kernels. (The `meanfield_throughput` bench times its
 /// own verbatim copy of the seed's naive per-point kernels instead, so its
 /// speedup gate is not affected by this dedup.)
