@@ -6,7 +6,7 @@
 //! The two variants execute *identical trajectories* (same accept/reject
 //! decisions, same RNG consumption), so the ratio is a pure engine-overhead
 //! measurement. The PR acceptance gate is a ≥ 5× speedup for
-//! `first_improvement_descent` and simulated annealing.
+//! first-improvement descent and simulated annealing.
 //!
 //! Besides the criterion groups, the bench prints a machine-readable summary
 //! between `BENCH_JSON_BEGIN` / `BENCH_JSON_END` markers (captured into
@@ -199,7 +199,7 @@ fn bench_refine_throughput(c: &mut Criterion) {
             "  \"bench\": \"refine_throughput\",\n",
             "  \"instance\": {{ \"num_variables\": {}, \"density\": {}, ",
             "\"quadratic_terms\": {}, \"seed\": 2025 }},\n",
-            "  \"first_improvement_descent\": {{ \"naive_ms\": {:.3}, ",
+            "  \"first_improvement\": {{ \"naive_ms\": {:.3}, ",
             "\"incremental_ms\": {:.3}, \"speedup\": {:.2} }},\n",
             "  \"simulated_annealing\": {{ \"naive_ms\": {:.3}, ",
             "\"incremental_ms\": {:.3}, \"speedup\": {:.2}, \"sweeps\": {} }},\n",
@@ -221,7 +221,7 @@ fn bench_refine_throughput(c: &mut Criterion) {
     println!("BENCH_JSON_END");
     assert!(
         fi_speedup >= 5.0,
-        "first_improvement_descent speedup {fi_speedup:.2}x below the 5x gate"
+        "first-improvement descent speedup {fi_speedup:.2}x below the 5x gate"
     );
     assert!(sa_speedup >= 5.0, "simulated_annealing speedup {sa_speedup:.2}x below the 5x gate");
 }

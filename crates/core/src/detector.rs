@@ -11,8 +11,7 @@ use crate::multilevel::{self, MultilevelConfig};
 use crate::{label_propagation, louvain, CdError};
 use qhdcd_graph::{Graph, Partition, QualityFunction};
 use qhdcd_qhd::QhdSolver;
-use qhdcd_qubo::SolverOptions;
-use qhdcd_solvers::{BranchAndBound, MoveSet, PortfolioSolver, SimulatedAnnealing};
+use qhdcd_solvers::{BranchAndBound, MoveSet, PortfolioConfig, PortfolioSolver, Strategy};
 use std::time::{Duration, Instant};
 
 /// The detection algorithm to run.
@@ -24,7 +23,8 @@ pub enum Method {
     QhdMultilevel,
     /// Direct QUBO formulation solved by branch-and-bound (the GUROBI stand-in).
     BranchAndBoundDirect,
-    /// Multilevel pipeline with simulated annealing on the coarsest graph.
+    /// Multilevel pipeline with simulated annealing on the coarsest graph
+    /// (an annealing-only [`PortfolioSolver`]: 4 restarts of 200 sweeps).
     AnnealingMultilevel,
     /// Multilevel pipeline with the parallel restart portfolio
     /// (greedy + annealing + tabu over the deterministic runtime, pair-aware
@@ -138,8 +138,7 @@ impl CommunityDetector {
     /// time-critical serving path. The portfolio holds this role because it
     /// beat [`Method::AnnealingMultilevel`] in the time-matched comparison on
     /// the planted corpus (see `portfolio_vs_annealing` in
-    /// `BENCH_refine.json`); it is also the method with warm-start support
-    /// (`solve_with_hint` seeds one restart from the incumbent).
+    /// `BENCH_refine.json`).
     pub fn classical_fallback() -> Self {
         CommunityDetector::new(Method::PortfolioMultilevel)
     }
@@ -245,7 +244,7 @@ impl CommunityDetector {
     /// the incumbent community structure of a slightly different (older)
     /// graph. The hint is threaded into the pipeline (for the QUBO methods it
     /// is encoded and passed to the solver via `solve_with_hint`, which on the
-    /// portfolio dedicates one restart to polishing it), and the returned
+    /// portfolio methods dedicates one restart to polishing it), and the returned
     /// result is additionally floored at the locally refined hint — warm
     /// restarts can explore, but the caller never gets back a partition worse
     /// than its own incumbent after local polish.
@@ -305,10 +304,17 @@ impl CommunityDetector {
                 (out.partition, out.modularity)
             }
             Method::AnnealingMultilevel => {
-                let mut solver = SimulatedAnnealing::default().with_seed(self.seed);
-                if let Some(limit) = self.time_limit {
-                    solver.options = SolverOptions::with_time_limit(limit).seeded(self.seed);
-                }
+                let solver = PortfolioSolver::with_config(PortfolioConfig {
+                    restarts: 4,
+                    sweeps: 200,
+                    seed: self.seed,
+                    time_limit: self.time_limit,
+                    ..PortfolioConfig::default()
+                })
+                .with_strategies(vec![Strategy::Annealing {
+                    initial_temperature: 2.0,
+                    final_temperature: 0.01,
+                }]);
                 let out = multilevel::detect(graph, &solver, &multilevel_config())?;
                 (out.partition, out.modularity)
             }

@@ -94,11 +94,13 @@ pub struct DirectOutcome {
 /// ```
 /// use qhdcd_core::direct::{detect, DirectConfig};
 /// use qhdcd_graph::generators;
-/// use qhdcd_solvers::SimulatedAnnealing;
+/// use qhdcd_solvers::{PortfolioConfig, PortfolioSolver, Strategy};
 ///
 /// # fn main() -> Result<(), qhdcd_core::CdError> {
 /// let graph = generators::karate_club();
-/// let outcome = detect(&graph, &SimulatedAnnealing::default(), &DirectConfig::with_communities(4))?;
+/// let solver = PortfolioSolver::with_config(PortfolioConfig { restarts: 4, ..PortfolioConfig::default() })
+///     .with_strategies(vec![Strategy::Annealing { initial_temperature: 2.0, final_temperature: 0.01 }]);
+/// let outcome = detect(&graph, &solver, &DirectConfig::with_communities(4))?;
 /// assert!(outcome.modularity > 0.3);
 /// # Ok(())
 /// # }
@@ -158,7 +160,21 @@ mod tests {
     use super::*;
     use qhdcd_graph::{generators, metrics};
     use qhdcd_qhd::QhdSolver;
-    use qhdcd_solvers::{BranchAndBound, SimulatedAnnealing};
+    use qhdcd_solvers::{BranchAndBound, PortfolioConfig, PortfolioSolver, Strategy};
+
+    /// The annealing-only portfolio `Method::AnnealingMultilevel` runs.
+    fn annealing(seed: u64) -> PortfolioSolver {
+        PortfolioSolver::with_config(PortfolioConfig {
+            restarts: 4,
+            sweeps: 200,
+            seed,
+            ..PortfolioConfig::default()
+        })
+        .with_strategies(vec![Strategy::Annealing {
+            initial_temperature: 2.0,
+            final_temperature: 0.01,
+        }])
+    }
 
     #[test]
     fn recovers_planted_communities_with_simulated_annealing() {
@@ -166,12 +182,7 @@ mod tests {
         // Seed chosen to recover the planted split under the per-restart
         // stream seeding the portfolio runtime introduced (the annealer is a
         // heuristic; some seeds land in a merged local optimum).
-        let outcome = detect(
-            &pg.graph,
-            &SimulatedAnnealing::default().with_seed(2),
-            &DirectConfig::with_communities(4),
-        )
-        .unwrap();
+        let outcome = detect(&pg.graph, &annealing(2), &DirectConfig::with_communities(4)).unwrap();
         let nmi = metrics::normalized_mutual_information(&outcome.partition, &pg.ground_truth);
         assert!(nmi > 0.95, "nmi={nmi}");
         assert!(outcome.modularity > 0.5);
@@ -189,12 +200,7 @@ mod tests {
     #[test]
     fn karate_club_modularity_is_competitive() {
         let g = generators::karate_club();
-        let outcome = detect(
-            &g,
-            &SimulatedAnnealing::default().with_seed(11),
-            &DirectConfig::with_communities(4),
-        )
-        .unwrap();
+        let outcome = detect(&g, &annealing(11), &DirectConfig::with_communities(4)).unwrap();
         // The best known modularity for karate is ≈ 0.4198.
         assert!(outcome.modularity > 0.38, "modularity={}", outcome.modularity);
         assert!(outcome.elapsed >= outcome.solver_time);
@@ -203,7 +209,8 @@ mod tests {
     #[test]
     fn refinement_can_only_help() {
         let g = generators::karate_club();
-        let solver = SimulatedAnnealing::default().with_seed(5).with_sweeps(30);
+        let mut solver = annealing(5);
+        solver.config.sweeps = 30;
         let raw = detect(
             &g,
             &solver,
@@ -241,7 +248,7 @@ mod tests {
         let g = generators::karate_club();
         let full = detect_bounded(
             &g,
-            &SimulatedAnnealing::default().with_seed(11),
+            &annealing(11),
             &DirectConfig::with_communities(4),
             &Budget::unlimited(),
         )
@@ -251,7 +258,7 @@ mod tests {
         cancel.cancel();
         let out = detect_bounded(
             &g,
-            &SimulatedAnnealing::default().with_seed(11),
+            &annealing(11),
             &DirectConfig::with_communities(4),
             &Budget::unlimited().cancelled_by(&cancel),
         )
@@ -269,8 +276,7 @@ mod tests {
         let pg = generators::ring_of_cliques(3, 5).unwrap();
         let config =
             DirectConfig::with_communities(3).with_quality(qhdcd_graph::QualityFunction::cpm(0.5));
-        let outcome =
-            detect(&pg.graph, &SimulatedAnnealing::default().with_seed(2), &config).unwrap();
+        let outcome = detect(&pg.graph, &annealing(2), &config).unwrap();
         let nmi = metrics::normalized_mutual_information(&outcome.partition, &pg.ground_truth);
         assert!(nmi > 0.9, "nmi={nmi}");
         // Each clique: e = 10, pairs = 10 ⇒ 10 − 5 = 5 per community.
@@ -281,6 +287,6 @@ mod tests {
     fn invalid_formulation_is_rejected() {
         let g = generators::karate_club();
         let config = DirectConfig::with_communities(0);
-        assert!(detect(&g, &SimulatedAnnealing::default(), &config).is_err());
+        assert!(detect(&g, &annealing(0), &config).is_err());
     }
 }

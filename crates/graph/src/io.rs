@@ -43,6 +43,8 @@ use std::path::Path;
 pub fn parse_edge_list(text: &str) -> Result<Graph, GraphError> {
     let mut edges: Vec<(usize, usize, f64)> = Vec::new();
     let mut num_nodes = 0usize;
+    // 1-based line that named the largest node id (it sizes the graph).
+    let mut sizing_line = 0usize;
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
@@ -77,9 +79,21 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, GraphError> {
             line: lineno + 1,
             reason: format!("node id {max_id} leaves no room for a node count"),
         })?;
-        num_nodes = num_nodes.max(needed);
+        if needed > num_nodes {
+            num_nodes = needed;
+            sizing_line = lineno + 1;
+        }
         edges.push((u, v, w));
     }
+    // The largest id sizes every node-indexed buffer of the graph. A count no
+    // allocation can back is a parse error, not a capacity-overflow panic or
+    // an aborted allocation.
+    let mut probe: Vec<f64> = Vec::new();
+    probe.try_reserve_exact(num_nodes).map_err(|e| GraphError::ParseEdgeList {
+        line: sizing_line,
+        reason: format!("node id {} needs {num_nodes} nodes: {e}", num_nodes - 1),
+    })?;
+    drop(probe);
     GraphBuilder::from_edges(num_nodes, edges)
 }
 
@@ -316,6 +330,62 @@ mod tests {
         match parse_edge_list(&format!("{} 0\n", usize::MAX)).unwrap_err() {
             GraphError::ParseEdgeList { line, .. } => assert_eq!(line, 1),
             other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_node_id_too_large_to_allocate_is_a_parse_error() {
+        // 2^61 nodes overflow the capacity of any node-indexed buffer, so
+        // this fails without allocating anything.
+        match parse_edge_list("0 1\n0 2305843009213693952\n").unwrap_err() {
+            GraphError::ParseEdgeList { line, .. } => assert_eq!(line, 2),
+            other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn hostile_inputs_are_parsed_or_rejected_never_panic() {
+        use rand::{Rng, SeedableRng};
+        // Valid inputs with ids below 100: a mutant can at most splice two
+        // ids into one, so none names more than about 10^4 nodes.
+        let edge_list = "# planted\n0 1\n1 2 2.5\n2 0\n% note\n13 47 0.5\n47 99\n";
+        let event_log = "0 add 0 1\n0 add 1 2 2.5\n1 upd 1 2 0.5\n1 del 0 1\nadd 13 99\n";
+        // Half the overwrites draw from the grammar's own alphabet, so mutants
+        // reach past the first token check.
+        const ALPHABET: &[u8] = b"0123456789 \t\n#%.-+eEaddelupinfNaN";
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5eed);
+        for text in [edge_list, event_log] {
+            let bytes = text.as_bytes();
+            let mut mutants: Vec<Vec<u8>> =
+                (0..=bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
+            for pos in 0..bytes.len() {
+                for _ in 0..8 {
+                    let mut mutant = bytes.to_vec();
+                    mutant[pos] = if rng.gen::<bool>() {
+                        ALPHABET[rng.gen_range(0..ALPHABET.len())]
+                    } else {
+                        rng.gen::<u32>() as u8
+                    };
+                    mutants.push(mutant);
+                }
+            }
+            for mutant in &mutants {
+                let mutant = String::from_utf8_lossy(mutant);
+                let lines = mutant.lines().count();
+                let outcome = std::panic::catch_unwind(|| {
+                    (parse_edge_list(&mutant).err(), parse_timed_event_log(&mutant).err())
+                });
+                let Ok((edge_error, event_error)) = outcome else {
+                    panic!("a parser panicked on {mutant:?}");
+                };
+                for error in edge_error.into_iter().chain(event_error) {
+                    if let GraphError::ParseEdgeList { line, .. }
+                    | GraphError::ParseEventLog { line, .. } = error
+                    {
+                        assert!((1..=lines).contains(&line), "line {line} of {mutant:?}");
+                    }
+                }
+            }
         }
     }
 

@@ -24,10 +24,11 @@
 //!   Hamiltonian dynamics used for large instances, and is what the paper's
 //!   GPU implementation parallelises.
 //!
-//! The high-level entry point is [`QhdSolver`], which runs many samples in
-//! parallel threads (standing in for the paper's multi-GPU batching), rounds
-//! measurement outcomes to binary solutions and applies the same greedy
-//! classical refinement QHDOPT uses as post-processing.
+//! The high-level entry point is [`QhdSolver`], which runs many samples on the
+//! shared restart runtime of `qhdcd-solvers` (parallel threads standing in for
+//! the paper's multi-GPU batching), rounds measurement outcomes to binary
+//! solutions and applies the same descent refinement QHDOPT uses as
+//! post-processing.
 //!
 //! # Example
 //!
@@ -55,7 +56,6 @@ pub mod complex;
 pub mod grid;
 mod kernels;
 pub mod meanfield;
-pub mod refine;
 pub mod schedule;
 pub mod solver;
 pub mod statevector;

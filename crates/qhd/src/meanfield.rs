@@ -438,7 +438,7 @@ pub fn evolve_reference(
 }
 
 /// Shared validation of [`evolve`] / [`evolve_reference`] configurations.
-fn validate(model: &QuboModel, config: &MeanFieldConfig) -> Result<(), QuboError> {
+pub(crate) fn validate(model: &QuboModel, config: &MeanFieldConfig) -> Result<(), QuboError> {
     if model.num_variables() == 0 {
         return Err(QuboError::InvalidConfig { reason: "model has no variables".into() });
     }

@@ -1,20 +1,27 @@
 //! The high-level QHD QUBO solver.
 //!
 //! [`QhdSolver`] drives many independent QHD samples (different random initial
-//! wave packets and measurement seeds), each followed by classical greedy
-//! refinement, and returns the best solution found. Samples are distributed
-//! over worker threads with `crossbeam` scoped threads — the CPU stand-in for
-//! the multi-GPU batching described in the paper (see DESIGN.md,
-//! "Substitutions"). The solver implements [`QuboSolver`], so it is a drop-in
-//! replacement for the classical baselines everywhere in the workspace.
+//! wave packets and measurement seeds), each followed by classical descent
+//! refinement, and returns the best solution found. Samples run on the shared
+//! restart runtime ([`qhdcd_solvers::runtime`]), the same one the classical
+//! portfolio uses: contiguous batches of samples per worker thread (the CPU
+//! stand-in for the multi-GPU batching described in the paper, see DESIGN.md,
+//! "Substitutions"), one refinement engine per worker, panic isolation, and a
+//! reduction by `(energy, sample index)`. The solver implements
+//! [`QuboSolver`], so it is a drop-in replacement for the classical baselines
+//! everywhere in the workspace.
 
+use crate::grid::Grid;
 use crate::meanfield::{self, MeanFieldConfig};
-use crate::refine;
 use crate::schedule::Schedule;
 use crate::statevector::{self, StateVectorConfig, MAX_EXACT_VARIABLES};
-use parking_lot::Mutex;
-use qhdcd_qubo::{Budget, Completion, QuboError, QuboModel, QuboSolver, SolveReport, SolveStatus};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use qhdcd_qubo::{
+    Budget, LocalFieldState, QuboError, QuboModel, QuboSolver, SolveReport, SolveStatus,
+};
+use qhdcd_solvers::local_search;
+use qhdcd_solvers::runtime::{self, RestartRun};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
 
 /// Which simulation backend the solver uses.
@@ -194,7 +201,8 @@ impl QhdSolver {
         }
     }
 
-    /// Runs a single QHD sample with the given per-sample seed.
+    /// Runs a single QHD sample with the given per-sample seed, refining its
+    /// candidates on the worker's engine `state`.
     ///
     /// Mirrors QHDOPT's hybrid structure: the quantum(-inspired) evolution
     /// produces a measurement distribution, several candidate roundings are
@@ -203,221 +211,142 @@ impl QhdSolver {
     /// Returns the refined sample plus whether the trajectory was cut short by
     /// the budget (the exact backend's short dense evolutions are not
     /// interruptible mid-trajectory; they observe the budget between samples).
+    /// Refinement itself never observes the budget, so a sample that completed
+    /// its evolution does not depend on wall-clock time.
     fn run_sample(
         &self,
         model: &QuboModel,
         backend: Backend,
         seed: u64,
+        state: &mut LocalFieldState<'_>,
         budget: &Budget,
-    ) -> Result<(Vec<bool>, f64, bool), QuboError> {
-        use rand::prelude::*;
-        let schedule = Schedule::default_qhd(self.config.total_time);
+    ) -> RestartRun {
+        use rand::Rng;
+        const VALIDATED: &str = "QHD configuration is validated before the samples run";
+        let sweeps = self.config.refine_sweeps;
         // The pair-aware search costs O(nnz · average degree) per sweep, which is
         // the right tool for small and medium instances but too expensive for the
         // largest dense QUBOs; those fall back to the linear-time 1-opt descent.
-        let pair_aware_limit = 200_000;
-        let refine_one = |solution: Vec<bool>, energy: f64| -> (Vec<bool>, f64) {
-            if self.config.refine_sweeps == 0 {
-                (solution, energy)
-            } else if model.num_quadratic_terms() <= pair_aware_limit {
-                refine::pair_aware_descent(model, solution, self.config.refine_sweeps)
-            } else {
-                refine::first_improvement_descent(model, solution, self.config.refine_sweeps)
+        let pair_aware = model.num_quadratic_terms() <= 200_000;
+        let mut refine = |mut solution: Vec<bool>| -> (Vec<bool>, f64) {
+            if sweeps == 0 {
+                let energy = model.evaluate(&solution).expect(VALIDATED);
+                return (solution, energy);
             }
+            state.set_solution(&solution).expect(VALIDATED);
+            let unlimited = Budget::unlimited();
+            if pair_aware {
+                local_search::pair_aware_descend_state(state, sweeps, &unlimited);
+            } else {
+                local_search::descend_state(state, sweeps, &unlimited);
+            }
+            state.debug_validate();
+            solution.copy_from_slice(state.solution());
+            (solution, state.energy())
         };
-        match backend {
+        let (solution, energy, interrupted) = match backend {
             Backend::Exact => {
-                let out = statevector::evolve(
-                    model,
-                    &StateVectorConfig {
-                        schedule,
-                        steps: self.config.steps.max(50),
-                        shots: self.config.shots.max(1),
-                        seed,
-                    },
-                )?;
-                let (solution, energy) = refine_one(out.best_solution, out.best_energy);
-                Ok((solution, energy, false))
+                let out = statevector::evolve(model, &self.exact_config(seed)).expect(VALIDATED);
+                let (solution, energy) = refine(out.best_solution);
+                (solution, energy, false)
             }
             Backend::MeanField | Backend::Auto => {
-                let steps = self.config.steps;
-                let out = meanfield::evolve_bounded(
-                    model,
-                    &MeanFieldConfig {
-                        schedule,
-                        steps,
-                        grid_resolution: self.config.grid_resolution,
-                        shots: self.config.shots,
-                        seed,
-                        randomize_initial_state: true,
-                        // Samples are already distributed over worker threads;
-                        // keep each trajectory's variable sweep serial rather
-                        // than oversubscribing with nested parallelism.
-                        threads: 1,
-                    },
-                    budget,
-                )?;
-                let interrupted = out.steps_completed < steps;
-                let (mut best, mut best_energy) = refine_one(out.best_solution, out.best_energy);
+                let out = meanfield::evolve_bounded(model, &self.mean_field_config(seed), budget)
+                    .expect(VALIDATED);
+                let interrupted = out.steps_completed < self.config.steps;
+                let (mut best, mut best_energy) = refine(out.best_solution);
                 // Refine additional roundings drawn from the final measurement
                 // distribution (capped so the classical work stays bounded).
                 let extra = self.config.shots.min(8);
-                let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+                let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
                 for _ in 0..extra {
                     let candidate: Vec<bool> =
                         out.probabilities.iter().map(|&p| rng.gen::<f64>() < p).collect();
-                    let energy = model.evaluate(&candidate)?;
-                    let (candidate, energy) = refine_one(candidate, energy);
+                    let (candidate, energy) = refine(candidate);
                     if energy < best_energy {
                         best = candidate;
                         best_energy = energy;
                     }
                 }
-                Ok((best, best_energy, interrupted))
+                (best, best_energy, interrupted)
             }
+        };
+        RestartRun { solution, energy, iterations: 1, interrupted }
+    }
+
+    /// Exact-backend configuration of the sample seeded with `seed`.
+    fn exact_config(&self, seed: u64) -> StateVectorConfig {
+        StateVectorConfig {
+            schedule: Schedule::default_qhd(self.config.total_time),
+            steps: self.config.steps.max(50),
+            shots: self.config.shots.max(1),
+            seed,
+        }
+    }
+
+    /// Mean-field configuration of the sample seeded with `seed`.
+    fn mean_field_config(&self, seed: u64) -> MeanFieldConfig {
+        MeanFieldConfig {
+            schedule: Schedule::default_qhd(self.config.total_time),
+            steps: self.config.steps,
+            grid_resolution: self.config.grid_resolution,
+            shots: self.config.shots,
+            seed,
+            randomize_initial_state: true,
+            // Samples are already distributed over worker threads; keep each
+            // trajectory's variable sweep serial rather than oversubscribing
+            // with nested parallelism.
+            threads: 1,
         }
     }
 
     /// Shared implementation behind [`QuboSolver::solve`] and
     /// [`QuboSolver::solve_bounded`].
     ///
-    /// Samples are reduced by `(energy, sample index)` with strict comparisons
-    /// — the lowest sample index wins ties — so the result is a pure function
-    /// of the set of completed samples, independent of worker count and
-    /// completion order. The budget is observed between samples and inside
-    /// each mean-field trajectory; budget-interrupted samples only stand in
-    /// when no sample completed. A panicking sample is isolated and counted
-    /// failed; [`QuboError::RestartPanicked`] is returned only when every
-    /// sample that ran panicked.
+    /// Sample `k` is restart `k` of the restart runtime, seeded with
+    /// `seed + k` (the runtime's per-restart stream is unused). The runtime
+    /// reduces completed samples by `(energy, sample index)`, so the result is
+    /// a pure function of the set of completed samples, independent of worker
+    /// count and completion order. The budget is observed between samples and
+    /// inside each mean-field trajectory; a budget-interrupted sample only
+    /// stands in when no sample completed, and a restart cap truncates the
+    /// sample schedule itself. A panicking sample is isolated;
+    /// [`QuboError::RestartPanicked`] is returned only when every sample that
+    /// ran panicked.
+    ///
+    /// A sample's errors depend only on the configuration and the model, so
+    /// they are checked once here, before any sample runs.
     fn solve_impl(&self, model: &QuboModel, budget: &Budget) -> Result<SolveReport, QuboError> {
-        struct Merge {
-            /// Best fully-completed sample as `(solution, energy, index)`.
-            best: Option<(Vec<bool>, f64, usize)>,
-            /// Best budget-interrupted sample (used only if `best` is empty).
-            best_interrupted: Option<(Vec<bool>, f64, usize)>,
-            completed: u64,
-            failed: Vec<(usize, String)>,
-            first_error: Option<QuboError>,
-            budget_hit: bool,
-        }
-        fn reduce(slot: &mut Option<(Vec<bool>, f64, usize)>, candidate: (Vec<bool>, f64, usize)) {
-            let better = match slot {
-                None => true,
-                Some((_, e, k)) => candidate.1 < *e || (candidate.1 == *e && candidate.2 < *k),
-            };
-            if better {
-                *slot = Some(candidate);
-            }
-        }
-
         let start = Instant::now();
         let backend = self.backend_for(model);
-        let configured = self.config.samples.max(1);
-        // A restart cap truncates the sample schedule itself (mirroring the
-        // portfolio runtime); sample 0 always runs for a best-effort result.
-        let samples = match budget.restart_cap() {
-            Some(cap) => configured.min(cap.max(1) as usize),
-            None => configured,
-        };
-        let cap_truncated = samples < configured;
-        let threads = self.config.threads.max(1).min(samples);
-
-        let merge = Mutex::new(Merge {
-            best: None,
-            best_interrupted: None,
-            completed: 0,
-            failed: Vec::new(),
-            first_error: None,
-            budget_hit: false,
-        });
-
-        let run_range = |range: std::ops::Range<usize>| {
-            for k in range {
-                // Sample 0 always runs so an already-expired budget still
-                // yields a best-effort incumbent.
-                if k != 0 && budget.is_exhausted() {
-                    merge.lock().budget_hit = true;
-                    return;
-                }
-                let seed = self.config.seed.wrapping_add(k as u64);
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    self.run_sample(model, backend, seed, budget)
-                }));
-                let mut guard = merge.lock();
-                match outcome {
-                    Ok(Ok((solution, energy, false))) => {
-                        guard.completed += 1;
-                        reduce(&mut guard.best, (solution, energy, k));
-                    }
-                    Ok(Ok((solution, energy, true))) => {
-                        guard.budget_hit = true;
-                        reduce(&mut guard.best_interrupted, (solution, energy, k));
-                    }
-                    Ok(Err(e)) => {
-                        if guard.first_error.is_none() {
-                            guard.first_error = Some(e);
-                        }
-                        return;
-                    }
-                    Err(payload) => {
-                        let message = qhdcd_solvers::runtime::panic_message(payload.as_ref());
-                        guard.failed.push((k, message));
-                    }
-                }
+        match backend {
+            Backend::Exact => statevector::validate(model, &self.exact_config(0))?,
+            Backend::MeanField | Backend::Auto => {
+                meanfield::validate(model, &self.mean_field_config(0))?;
+                Grid::new(self.config.grid_resolution)?;
             }
-        };
-
-        if threads <= 1 {
-            run_range(0..samples);
-        } else {
-            // Static partition of the sample indices over the worker threads —
-            // the CPU analogue of batching trajectories across GPUs, using the
-            // same contiguous sharding as the restart runtime.
-            crossbeam::thread::scope(|scope| {
-                for range in qhdcd_solvers::runtime::shard_ranges(samples, threads) {
-                    let run_range = &run_range;
-                    scope.spawn(move |_| run_range(range));
-                }
-            })
-            .expect("QHD sample workers isolate panics internally");
         }
-
-        let merged = merge.into_inner();
-        if let Some(err) = merged.first_error {
-            return Err(err);
-        }
-        let completed = merged.completed;
-        // Samples can also be missing because they panicked; panics alone do
-        // not mark the run truncated — only budget skips, interruptions and
-        // schedule caps do.
-        let truncated = merged.budget_hit || cap_truncated;
-        let (solution, objective, completion) = match (merged.best, merged.best_interrupted) {
-            (Some((solution, objective, _)), _) => {
-                let completion = if truncated {
-                    Completion::Truncated { completed_restarts: completed }
-                } else {
-                    Completion::Full
-                };
-                (solution, objective, completion)
-            }
-            (None, Some((solution, objective, _))) => {
-                (solution, objective, Completion::Truncated { completed_restarts: 0 })
-            }
-            (None, None) => {
-                let (restart, message) = merged
-                    .failed
-                    .into_iter()
-                    .min_by_key(|(k, _)| *k)
-                    .expect("at least one sample ran");
-                return Err(QuboError::RestartPanicked { restart, message });
-            }
+        let kernel = |k: usize,
+                      _rng: &mut ChaCha8Rng,
+                      state: &mut LocalFieldState<'_>,
+                      budget: &Budget| {
+            self.run_sample(model, backend, self.config.seed.wrapping_add(k as u64), state, budget)
         };
+        let run = runtime::run_restarts(
+            model,
+            self.config.samples,
+            self.config.threads.max(1),
+            self.config.seed,
+            budget,
+            &kernel,
+        )?;
+        let completion = run.completion();
         Ok(SolveReport {
-            solution,
-            objective,
+            solution: run.solution,
+            objective: run.energy,
             status: SolveStatus::Heuristic,
             elapsed: start.elapsed(),
-            iterations: completed.max(1),
+            iterations: run.restarts_completed.max(1),
             completion,
         })
     }
@@ -562,6 +491,30 @@ mod tests {
     }
 
     #[test]
+    fn degenerate_configurations_are_rejected_before_any_sample_runs() {
+        let model = random_qubo(&RandomQuboConfig {
+            num_variables: 20,
+            density: 0.2,
+            coefficient_range: 1.0,
+            seed: 1,
+        })
+        .unwrap();
+        let mean_field = QhdConfig { backend: Backend::MeanField, ..QhdConfig::default() };
+        for config in [
+            QhdConfig { steps: 0, ..mean_field.clone() },
+            QhdConfig { grid_resolution: 3, ..mean_field.clone() },
+        ] {
+            let err = QhdSolver::with_config(config).solve(&model).unwrap_err();
+            assert!(matches!(err, QuboError::InvalidConfig { .. }), "{err}");
+        }
+        let empty = QuboBuilder::new(0).build();
+        for backend in [Backend::Auto, Backend::Exact, Backend::MeanField] {
+            let solver = QhdSolver::builder().backend(backend).build();
+            assert!(matches!(solver.solve(&empty), Err(QuboError::InvalidConfig { .. })));
+        }
+    }
+
+    #[test]
     fn an_expired_budget_yields_a_best_effort_truncated_report() {
         use qhdcd_qubo::CancelToken;
         let model = random_qubo(&RandomQuboConfig {
@@ -581,6 +534,29 @@ mod tests {
         // carries a valid incumbent marked truncated.
         assert!(!report.completion.is_full());
         assert!((model.evaluate(&report.solution).unwrap() - report.objective).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sample_k_is_the_single_sample_run_seeded_with_seed_plus_k() {
+        let model = random_qubo(&RandomQuboConfig {
+            num_variables: 30,
+            density: 0.2,
+            coefficient_range: 1.0,
+            seed: 4,
+        })
+        .unwrap();
+        let single = |seed: u64| {
+            QhdSolver::builder().samples(1).steps(40).seed(seed).build().solve(&model).unwrap()
+        };
+        // Best of samples 10, 11, 12 by (energy, index).
+        let best =
+            (10..13u64).map(single).reduce(|a, b| if b.objective < a.objective { b } else { a });
+        let best = best.unwrap();
+        let run = QhdSolver::builder().samples(3).threads(2).steps(40).seed(10).build();
+        let report = run.solve(&model).unwrap();
+        assert_eq!(report.solution, best.solution);
+        assert_eq!(report.objective.to_bits(), best.objective.to_bits());
+        assert_eq!(report.iterations, 3);
     }
 
     #[test]

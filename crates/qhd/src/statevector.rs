@@ -79,17 +79,8 @@ pub fn evolve(
     model: &QuboModel,
     config: &StateVectorConfig,
 ) -> Result<StateVectorOutcome, QuboError> {
+    validate(model, config)?;
     let n = model.num_variables();
-    if n == 0 || n > MAX_EXACT_VARIABLES {
-        return Err(QuboError::InvalidConfig {
-            reason: format!(
-                "exact state-vector backend supports 1..={MAX_EXACT_VARIABLES} variables, got {n}"
-            ),
-        });
-    }
-    if config.steps == 0 {
-        return Err(QuboError::InvalidConfig { reason: "steps must be positive".into() });
-    }
     let dim = 1usize << n;
 
     // Pre-compute the diagonal potential: QUBO energy of every assignment,
@@ -216,6 +207,22 @@ fn sample_index<R: Rng>(weights: &[f64], rng: &mut R) -> usize {
         }
     }
     weights.len() - 1
+}
+
+/// The configuration errors of [`evolve`], checked without running it.
+pub(crate) fn validate(model: &QuboModel, config: &StateVectorConfig) -> Result<(), QuboError> {
+    let n = model.num_variables();
+    if n == 0 || n > MAX_EXACT_VARIABLES {
+        return Err(QuboError::InvalidConfig {
+            reason: format!(
+                "exact state-vector backend supports 1..={MAX_EXACT_VARIABLES} variables, got {n}"
+            ),
+        });
+    }
+    if config.steps == 0 {
+        return Err(QuboError::InvalidConfig { reason: "steps must be positive".into() });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

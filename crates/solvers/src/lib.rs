@@ -10,17 +10,20 @@
 //!   for GUROBI in every experiment (see DESIGN.md, "Substitutions").
 //! * [`ExhaustiveSearch`] — brute force over all assignments, the ground truth
 //!   for small instances in tests.
-//! * [`SimulatedAnnealing`] — single-flip Metropolis with geometric cooling.
-//! * [`TabuSearch`] — single-flip tabu search with aspiration.
-//! * [`MultiStartGreedy`] — repeated greedy 1-opt descent from random starts.
-//! * [`PortfolioSolver`] — a restart portfolio interleaving the heuristic
-//!   families above over the deterministic parallel [`runtime`].
+//! * [`PortfolioSolver`] — the one front-end for the heuristic families:
+//!   restarts of descent from random starts ([`Strategy::Greedy`]),
+//!   single-flip Metropolis annealing with geometric cooling
+//!   ([`Strategy::Annealing`]) and single-flip tabu search with aspiration
+//!   ([`Strategy::Tabu`]), interleaved round-robin. A one-member portfolio is
+//!   the plain multi-start solver of that family.
 //!
-//! All restart-based solvers batch their restarts through the shared
-//! [`runtime`]: one [`LocalFieldState`](qhdcd_qubo::LocalFieldState) per
-//! worker thread, a private ChaCha stream per restart derived from the root
-//! seed, and a reduction ordered by `(energy, restart index)`, so results are
-//! bit-identical for every thread count.
+//! Every restart-style solver batches its restarts through the shared
+//! [`runtime`] — the portfolio here and the QHD sampler in `qhdcd-qhd`: one
+//! [`LocalFieldState`](qhdcd_qubo::LocalFieldState) per worker thread, a
+//! private ChaCha stream per restart derived from the root seed, and a
+//! reduction ordered by `(energy, restart index)`, so results are
+//! bit-identical for every thread count. Their descents share the loops in
+//! [`local_search`].
 //!
 //! # Example
 //!
@@ -45,7 +48,6 @@
 
 mod branch_bound;
 mod exhaustive;
-mod greedy;
 pub mod portfolio;
 pub mod runtime;
 mod simulated_annealing;
@@ -53,16 +55,13 @@ mod tabu;
 
 pub use branch_bound::BranchAndBound;
 pub use exhaustive::ExhaustiveSearch;
-pub use greedy::MultiStartGreedy;
 pub use portfolio::{MoveSet, PortfolioConfig, PortfolioSolver, Strategy};
-pub use simulated_annealing::SimulatedAnnealing;
-pub use tabu::TabuSearch;
 
-pub(crate) mod local_search {
-    //! Shared descent loops used to seed and polish incumbents, built on the
-    //! engine's [`LocalFieldState::single_flip_sweep`] /
-    //! [`LocalFieldState::coupled_pair_sweep`] primitives (the same sweeps the
-    //! QHD refinement uses, so trajectories agree by construction).
+pub mod local_search {
+    //! Shared descent loops used to seed and polish incumbents and to refine
+    //! QHD samples, built on the engine's
+    //! [`LocalFieldState::single_flip_sweep`] /
+    //! [`LocalFieldState::coupled_pair_sweep`] primitives.
 
     use qhdcd_qubo::{Budget, LocalFieldState, QuboModel};
 
@@ -136,6 +135,7 @@ pub(crate) mod local_search {
     mod tests {
         use super::*;
         use qhdcd_qubo::generate::{random_qubo, RandomQuboConfig};
+        use qhdcd_qubo::QuboBuilder;
 
         #[test]
         fn descend_reaches_a_single_flip_local_minimum() {
@@ -151,6 +151,125 @@ pub(crate) mod local_search {
             for i in 0..30 {
                 assert!(model.flip_delta(&x, i) >= -1e-9);
             }
+        }
+
+        #[test]
+        fn first_improvement_never_worsens_and_matches_energy() {
+            let model = random_qubo(&RandomQuboConfig {
+                num_variables: 60,
+                density: 0.1,
+                coefficient_range: 2.0,
+                seed: 21,
+            })
+            .unwrap();
+            let start = vec![true; 60];
+            let start_energy = model.evaluate(&start).unwrap();
+            let (x, e) = descend(&model, start, 50);
+            assert!(e <= start_energy + 1e-9);
+            assert!((model.evaluate(&x).unwrap() - e).abs() < 1e-9);
+        }
+
+        #[test]
+        fn descent_on_an_already_optimal_solution_is_a_no_op() {
+            let mut b = QuboBuilder::new(2);
+            b.add_linear(0, -1.0).unwrap();
+            b.add_linear(1, 1.0).unwrap();
+            let model = b.build();
+            let (x, e) = descend(&model, vec![true, false], 5);
+            assert_eq!(x, vec![true, false]);
+            assert_eq!(e, -1.0);
+        }
+
+        #[test]
+        fn pass_limit_bounds_the_work() {
+            // A chain where each flip enables the one before it in sweep
+            // order; with one sweep only the last variable flips.
+            let mut b = QuboBuilder::new(3);
+            b.add_linear(0, 1.0).unwrap();
+            b.add_linear(1, 1.0).unwrap();
+            b.add_linear(2, -1.0).unwrap();
+            b.add_quadratic(1, 2, -2.0).unwrap();
+            b.add_quadratic(0, 1, -2.0).unwrap();
+            let model = b.build();
+            let (x, _) = descend(&model, vec![false; 3], 1);
+            assert_eq!(x, vec![false, false, true]);
+            let (x, _) = descend(&model, vec![false; 3], 10);
+            assert_eq!(x, vec![true, true, true]);
+        }
+
+        #[test]
+        fn descents_stop_at_an_exhausted_budget() {
+            let model = random_qubo(&RandomQuboConfig {
+                num_variables: 30,
+                density: 0.3,
+                coefficient_range: 1.0,
+                seed: 5,
+            })
+            .unwrap();
+            let cancel = qhdcd_qubo::CancelToken::new();
+            cancel.cancel();
+            let expired = Budget::unlimited().cancelled_by(&cancel);
+            let mut state = LocalFieldState::new(&model, vec![false; 30]);
+            let single = descend_state(&mut state, 100, &expired);
+            let pair = pair_aware_descend_state(&mut state, 100, &expired);
+            for outcome in [single, pair] {
+                assert!(outcome.interrupted);
+                assert_eq!(outcome.sweeps, 0);
+            }
+            assert_eq!(state.solution(), &[false; 30][..]);
+        }
+
+        #[test]
+        #[should_panic(expected = "must match the model")]
+        fn mismatched_length_panics() {
+            let model = QuboBuilder::new(3).build();
+            descend(&model, vec![false; 2], 1);
+        }
+
+        fn pair_aware_descend(model: &QuboModel, x: Vec<bool>, sweeps: usize) -> (Vec<bool>, f64) {
+            let mut state = LocalFieldState::new(model, x);
+            pair_aware_descend_state(&mut state, sweeps, &Budget::unlimited());
+            state.into_solution()
+        }
+
+        #[test]
+        fn pair_aware_descent_escapes_one_hot_traps() {
+            // A one-hot group {0,1} (a "node" with two community slots) and a
+            // reward for putting the node in slot 1 (coupling with the
+            // already-set bit 2). From the valid assignment "slot 0", every
+            // single flip breaks the one-hot constraint, so plain 1-opt is
+            // stuck; the pair move (clear slot 0, set slot 1) is exactly the
+            // reassignment the pair-aware search finds.
+            let mut b = QuboBuilder::new(3);
+            b.add_penalty_exactly_one(&[0, 1], 10.0).unwrap();
+            b.add_quadratic(1, 2, -2.0).unwrap();
+            let model = b.build();
+            let start = vec![true, false, true]; // valid, but misses the −2 reward
+            let (stuck, stuck_e) = descend(&model, start.clone(), 50);
+            assert_eq!(stuck, start, "plain 1-opt must be stuck");
+            assert_eq!(stuck_e, 0.0);
+            let (escaped, escaped_e) = pair_aware_descend(&model, start, 50);
+            assert_eq!(escaped, vec![false, true, true]);
+            assert!((escaped_e - (-2.0)).abs() < 1e-12);
+        }
+
+        #[test]
+        fn pair_aware_descent_never_worsens_random_instances() {
+            let model = random_qubo(&RandomQuboConfig {
+                num_variables: 40,
+                density: 0.2,
+                coefficient_range: 1.0,
+                seed: 30,
+            })
+            .unwrap();
+            let start = vec![false; 40];
+            let start_energy = model.evaluate(&start).unwrap();
+            let (x, e) = pair_aware_descend(&model, start, 50);
+            assert!(e <= start_energy + 1e-9);
+            assert!((model.evaluate(&x).unwrap() - e).abs() < 1e-9);
+            // The result is at least as good as plain 1-opt from the same start.
+            let (_, e1) = descend(&model, vec![false; 40], 50);
+            assert!(e <= e1 + 1e-9);
         }
     }
 }

@@ -126,8 +126,8 @@ pub enum Strategy {
         /// Final temperature.
         final_temperature: f64,
     },
-    /// Tabu search seeded by a short descent; `tenure` as in
-    /// [`crate::TabuSearch`] (`None` picks `max(10, n/10)` capped at `n/2`).
+    /// Tabu search seeded by a short descent; recently flipped variables stay
+    /// tabu for `tenure` moves (`None` picks `max(10, n/10)` capped at `n/2`).
     Tabu {
         /// Tabu tenure override.
         tenure: Option<usize>,
@@ -312,8 +312,7 @@ impl PortfolioSolver {
         )?;
         let completion = run.completion();
         // The all-zero baseline keeps the result no worse than the trivial
-        // assignment even when every restart lands in a bad basin (same floor
-        // as the standalone greedy/annealing solvers).
+        // assignment even when every restart lands in a bad basin.
         let zero = vec![false; model.num_variables()];
         let zero_e = model.evaluate(&zero)?;
         let (solution, objective) =
@@ -452,6 +451,35 @@ mod tests {
             assert_eq!(report.status, SolveStatus::Heuristic);
             assert!((model.evaluate(&report.solution).unwrap() - report.objective).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn greedy_member_finds_good_solutions_on_small_instances() {
+        for seed in 0..3u64 {
+            let model = instance(12, 0.4, seed);
+            let greedy = PortfolioSolver::default()
+                .with_seed(seed)
+                .with_strategies(vec![Strategy::Greedy])
+                .solve(&model)
+                .unwrap();
+            let exact = ExhaustiveSearch.solve(&model).unwrap();
+            // Multi-start greedy is not exact but should be within a small gap.
+            let gap = (greedy.objective - exact.objective).abs();
+            assert!(gap <= 0.25 * exact.objective.abs().max(1.0), "seed={seed} gap={gap}");
+        }
+    }
+
+    #[test]
+    fn greedy_member_result_is_a_one_opt_local_minimum() {
+        let model = instance(40, 0.2, 4);
+        let report = PortfolioSolver::default()
+            .with_strategies(vec![Strategy::Greedy])
+            .solve(&model)
+            .unwrap();
+        for i in 0..40 {
+            assert!(model.flip_delta(&report.solution, i) >= -1e-9);
+        }
+        assert!((model.evaluate(&report.solution).unwrap() - report.objective).abs() < 1e-12);
     }
 
     #[test]

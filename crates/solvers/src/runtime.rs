@@ -1,11 +1,11 @@
 //! Deterministic parallel restart runtime shared by every restart-based solver.
 //!
 //! Restarts of local-search solvers (greedy descent, simulated annealing, tabu
-//! search) are embarrassingly parallel, but a naive parallelisation is
-//! *non-deterministic*: if all restarts draw from one shared RNG, the
-//! trajectory of restart `k` depends on how many draws earlier restarts
-//! consumed, which depends on scheduling. This runtime makes parallel restarts
-//! **bit-identical regardless of thread count** by construction:
+//! search) and the samples of `QhdSolver` are embarrassingly parallel, but a
+//! naive parallelisation is *non-deterministic*: if all restarts draw from one
+//! shared RNG, the trajectory of restart `k` depends on how many draws earlier
+//! restarts consumed, which depends on scheduling. This runtime makes parallel
+//! restarts **bit-identical regardless of thread count** by construction:
 //!
 //! 1. **Per-restart streams.** Restart `k` runs on its own `ChaCha8Rng` seeded
 //!    with [`restart_stream_seed`]`(root_seed, k)` — a SplitMix64 mix of the
@@ -13,8 +13,8 @@
 //!    function of `(model, root_seed, k)`.
 //! 2. **One engine per worker.** Each worker thread owns a single
 //!    [`LocalFieldState`] reused across its restarts (`set_solution` rebuilds
-//!    the cached fields in O(n + nnz) without reallocating), the same batching
-//!    pattern `QhdSolver` uses for samples.
+//!    the cached fields in O(n + nnz) without reallocating); QHD samples
+//!    refine their candidates on it.
 //! 3. **Ordered reduction.** The best restart is selected by the total order
 //!    `(energy, restart index)` — strictly lower energy wins, ties go to the
 //!    lowest restart index — so the reduction result does not depend on which

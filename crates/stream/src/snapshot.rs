@@ -128,6 +128,22 @@ struct Link {
     next: OnceLock<Arc<Link>>,
 }
 
+impl Drop for Link {
+    /// Unlinks the successors iteratively. The derived drop would recurse once
+    /// per link, so dropping a reader that lags a long chain would overflow the
+    /// stack; this walks forward instead and stops at the first link that
+    /// another reader or the publisher still holds.
+    fn drop(&mut self) {
+        let mut next = self.next.take();
+        while let Some(link) = next {
+            next = match Arc::try_unwrap(link) {
+                Ok(mut owned) => owned.next.take(),
+                Err(_) => None,
+            };
+        }
+    }
+}
+
 /// The writer's handle: publishes a new epoch by appending to the chain.
 ///
 /// There is exactly one publisher per service; publication is an `Arc`
@@ -195,7 +211,7 @@ impl SnapshotReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qhdcd_graph::generators;
+    use qhdcd_graph::{generators, GraphBuilder};
 
     fn karate_snapshot(epoch: u64) -> PartitionSnapshot {
         let graph = generators::karate_club();
@@ -248,5 +264,32 @@ mod tests {
         assert_eq!(lagging.current().epoch(), 0);
         assert_eq!(lagging.latest().epoch(), 2);
         assert_eq!(publisher.reader().current().epoch(), 2);
+    }
+
+    #[test]
+    fn dropping_a_lagging_reader_keeps_the_links_later_readers_hold() {
+        let (mut publisher, oldest) = SnapshotPublisher::new(karate_snapshot(0));
+        for epoch in 1..=5 {
+            publisher.publish(karate_snapshot(epoch));
+        }
+        let mut middle = publisher.reader();
+        for epoch in 6..=10 {
+            publisher.publish(karate_snapshot(epoch));
+        }
+        drop(oldest);
+        assert_eq!(middle.current().epoch(), 5);
+        assert_eq!(middle.latest().epoch(), 10);
+    }
+
+    #[test]
+    fn dropping_a_reader_that_lags_a_long_chain_does_not_overflow_the_stack() {
+        let empty = || PartitionSnapshot::new(0, GraphBuilder::new(0).build(), Vec::new(), 0.0);
+        let (mut publisher, parked) = SnapshotPublisher::new(empty());
+        for _ in 0..300_000 {
+            publisher.publish(empty());
+        }
+        // The parked reader is the only holder of every link but the tail.
+        drop(parked);
+        assert_eq!(publisher.reader().current().num_nodes(), 0);
     }
 }

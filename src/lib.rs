@@ -10,7 +10,7 @@
 //! | [`graph`] | `qhdcd-graph` | CSR graphs, partitions, modularity, metrics, generators, I/O |
 //! | [`qubo`] | `qhdcd-qubo` | QUBO models, builders, Ising conversion, solver trait |
 //! | [`qhd`] | `qhdcd-qhd` | Quantum Hamiltonian Descent simulator and solver |
-//! | [`solvers`] | `qhdcd-solvers` | branch-and-bound (exact), simulated annealing, tabu, greedy |
+//! | [`solvers`] | `qhdcd-solvers` | branch-and-bound (exact), restart portfolio (greedy, annealing, tabu), restart runtime |
 //! | [`core`] | `qhdcd-core` | QUBO formulation, direct and multilevel pipelines, baselines |
 //! | [`stream`] | `qhdcd-stream` | dynamic graphs, edge events, incremental community maintenance |
 //!
@@ -45,7 +45,7 @@ pub use qhdcd_qubo as qubo;
 /// Quantum Hamiltonian Descent simulator and QUBO solver.
 pub use qhdcd_qhd as qhd;
 
-/// Classical baseline QUBO solvers (branch-and-bound, SA, tabu, greedy).
+/// Classical baseline QUBO solvers (branch-and-bound, the restart portfolio).
 pub use qhdcd_solvers as solvers;
 
 /// Community-detection pipelines: formulation, direct, multilevel, baselines.
@@ -62,7 +62,7 @@ pub mod prelude {
     };
     pub use crate::qhd::QhdSolver;
     pub use crate::qubo::{QuboBuilder, QuboModel, QuboSolver, SolveStatus};
-    pub use crate::solvers::{BranchAndBound, SimulatedAnnealing};
+    pub use crate::solvers::{BranchAndBound, PortfolioSolver};
     pub use crate::stream::{ServiceConfig, StreamConfig, StreamingDetector, StreamingService};
 }
 

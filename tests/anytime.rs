@@ -20,8 +20,7 @@ use qhdcd::qhd::QhdSolver;
 use qhdcd::qubo::generate::{random_qubo, RandomQuboConfig};
 use qhdcd::qubo::{Budget, CancelToken, Completion, QuboModel, QuboSolver};
 use qhdcd::solvers::{
-    BranchAndBound, ExhaustiveSearch, MultiStartGreedy, PortfolioSolver, SimulatedAnnealing,
-    TabuSearch,
+    BranchAndBound, ExhaustiveSearch, PortfolioConfig, PortfolioSolver, Strategy,
 };
 
 fn instance(n: usize, seed: u64) -> QuboModel {
@@ -32,31 +31,31 @@ fn instance(n: usize, seed: u64) -> QuboModel {
 /// Builds a solver from `(restarts, threads)`.
 type SolverFactory = Box<dyn Fn(usize, usize) -> Box<dyn QuboSolver>>;
 
+/// A one-member portfolio: `restarts` restarts of `strategy`, `sweeps` each.
+fn member(strategy: Strategy, sweeps: usize) -> SolverFactory {
+    Box::new(move |restarts, threads| {
+        Box::new(
+            PortfolioSolver::with_config(PortfolioConfig {
+                restarts,
+                threads,
+                sweeps,
+                seed: 9,
+                ..PortfolioConfig::default()
+            })
+            .with_strategies(vec![strategy]),
+        ) as Box<dyn QuboSolver>
+    })
+}
+
 /// Restart-structured families: `make(restarts, threads)` builds the solver.
 fn restart_families() -> Vec<(&'static str, SolverFactory)> {
     vec![
-        (
-            "multi-start-greedy",
-            Box::new(|r, t| {
-                Box::new(MultiStartGreedy::default().with_seed(9).with_restarts(r).with_threads(t))
-                    as Box<dyn QuboSolver>
-            }) as Box<dyn Fn(usize, usize) -> Box<dyn QuboSolver>>,
-        ),
+        ("greedy", member(Strategy::Greedy, 100)),
         (
             "simulated-annealing",
-            Box::new(|r, t| {
-                Box::new(
-                    SimulatedAnnealing::default().with_seed(9).with_restarts(r).with_threads(t),
-                ) as Box<dyn QuboSolver>
-            }),
+            member(Strategy::Annealing { initial_temperature: 2.0, final_temperature: 0.01 }, 200),
         ),
-        (
-            "tabu-search",
-            Box::new(|r, t| {
-                Box::new(TabuSearch::default().with_seed(9).with_restarts(r).with_threads(t))
-                    as Box<dyn QuboSolver>
-            }),
-        ),
+        ("tabu-search", member(Strategy::Tabu { tenure: None }, 2_000)),
         (
             "portfolio",
             Box::new(|r, t| {

@@ -4,7 +4,22 @@
 use qhdcd::core::formulation::{build_qubo, FormulationConfig};
 use qhdcd::graph::{generators, metrics, modularity, Partition};
 use qhdcd::prelude::*;
-use qhdcd::solvers::{ExhaustiveSearch, SimulatedAnnealing, TabuSearch};
+use qhdcd::solvers::{ExhaustiveSearch, PortfolioConfig, Strategy};
+
+/// The annealing-only portfolio `Method::AnnealingMultilevel` runs: 4
+/// restarts of 200 sweeps.
+fn annealing(seed: u64) -> PortfolioSolver {
+    PortfolioSolver::with_config(PortfolioConfig {
+        restarts: 4,
+        sweeps: 200,
+        seed,
+        ..PortfolioConfig::default()
+    })
+    .with_strategies(vec![Strategy::Annealing {
+        initial_temperature: 2.0,
+        final_temperature: 0.01,
+    }])
+}
 
 #[test]
 fn qhd_recovers_planted_communities_end_to_end() {
@@ -63,8 +78,17 @@ fn all_solvers_agree_on_tiny_community_detection_qubos() {
     assert_eq!(bb.status, SolveStatus::Optimal);
     assert!((bb.objective - exact).abs() < 1e-9);
 
-    let sa = SimulatedAnnealing::default().with_seed(1).solve(model).unwrap().objective;
-    let tabu = TabuSearch::default().with_seed(1).solve(model).unwrap().objective;
+    let sa = annealing(1).solve(model).unwrap().objective;
+    let tabu = PortfolioSolver::with_config(PortfolioConfig {
+        restarts: 1,
+        sweeps: 2_000,
+        seed: 1,
+        ..PortfolioConfig::default()
+    })
+    .with_strategies(vec![Strategy::Tabu { tenure: None }])
+    .solve(model)
+    .unwrap()
+    .objective;
     let qhd = QhdSolver::builder().samples(4).seed(1).build().solve(model).unwrap().objective;
     for (name, value) in [("sa", sa), ("tabu", tabu), ("qhd", qhd)] {
         assert!((value - exact).abs() < 1e-6, "{name}={value} exact={exact}");
@@ -223,7 +247,7 @@ fn multilevel_k8_regime_is_pinned_bit_for_bit() {
     .unwrap();
     let out = qhdcd::core::multilevel::detect(
         &pg.graph,
-        &SimulatedAnnealing::default().with_seed(3),
+        &annealing(3),
         &qhdcd::core::multilevel::MultilevelConfig::with_communities(8),
     )
     .unwrap();

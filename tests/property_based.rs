@@ -223,16 +223,23 @@ proptest! {
         }
     }
 
-    /// The greedy refinement in the QHD crate never increases the energy.
+    /// The pair-aware descent that refines QHD samples never increases the
+    /// energy.
     #[test]
-    fn greedy_descent_never_increases_energy(
+    fn pair_aware_descent_never_increases_energy(
         (n, linear, quadratic) in arbitrary_qubo(),
         bits in proptest::collection::vec(any::<bool>(), 2..10),
     ) {
         let model = build_model(n, &linear, &quadratic);
         let x: Vec<bool> = (0..n).map(|i| bits[i % bits.len()]).collect();
         let before = model.evaluate(&x).expect("length matches");
-        let (improved, energy) = qhdcd::qhd::refine::greedy_descent(&model, x, 50);
+        let mut state = qhdcd::qubo::LocalFieldState::new(&model, x);
+        qhdcd::solvers::local_search::pair_aware_descend_state(
+            &mut state,
+            50,
+            &qhdcd::qubo::Budget::unlimited(),
+        );
+        let (improved, energy) = state.into_solution();
         prop_assert!(energy <= before + 1e-9);
         prop_assert!((model.evaluate(&improved).expect("length matches") - energy).abs() < 1e-9);
     }
@@ -372,7 +379,7 @@ proptest! {
         let model = build_model(n, &linear, &quadratic);
         let start: Vec<bool> = (0..n).map(|i| bits[i % bits.len()]).collect();
         let (naive_x, naive_e) = naive_first_improvement(&model, start.clone(), 50);
-        let (new_x, new_e) = qhdcd::qhd::refine::first_improvement_descent(&model, start, 50);
+        let (new_x, new_e) = qhdcd::solvers::local_search::descend(&model, start, 50);
         prop_assert_eq!(new_x, naive_x);
         prop_assert!((new_e - naive_e).abs() < 1e-9);
     }

@@ -11,6 +11,22 @@
 use qhdcd::core::refine::{refine_partition, RefineConfig};
 use qhdcd::graph::{generators, modularity, Partition};
 use qhdcd::prelude::*;
+use qhdcd::solvers::{PortfolioConfig, Strategy};
+
+/// The annealing-only portfolio `Method::AnnealingMultilevel` runs: 4
+/// restarts of 200 sweeps.
+fn annealing(seed: u64) -> PortfolioSolver {
+    PortfolioSolver::with_config(PortfolioConfig {
+        restarts: 4,
+        sweeps: 200,
+        seed,
+        ..PortfolioConfig::default()
+    })
+    .with_strategies(vec![Strategy::Annealing {
+        initial_temperature: 2.0,
+        final_temperature: 0.01,
+    }])
+}
 
 /// Pin A: static refinement on karate from singletons (captured pre-change).
 const PIN_A_LABELS: [usize; 34] = [
@@ -290,9 +306,7 @@ fn coarse_level_cpm_null_term_is_exact_and_multilevel_matches_louvain() {
             ..MultilevelConfig::default()
         }
         .with_quality(quality);
-        let ml =
-            multilevel::detect(&pg.graph, &SimulatedAnnealing::default().with_seed(3), &ml_config)
-                .unwrap();
+        let ml = multilevel::detect(&pg.graph, &annealing(3), &ml_config).unwrap();
         assert!(ml.levels >= 1, "γ={gamma}: the instance must actually coarsen");
         let lv = CommunityDetector::new(Method::Louvain)
             .with_quality(quality)

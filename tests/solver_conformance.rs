@@ -21,9 +21,23 @@ use qhdcd::qhd::{Backend, QhdSolver};
 use qhdcd::qubo::generate::{random_qubo, RandomQuboConfig};
 use qhdcd::qubo::{QuboModel, QuboSolver, SolveReport, SolveStatus};
 use qhdcd::solvers::{
-    BranchAndBound, ExhaustiveSearch, MoveSet, MultiStartGreedy, PortfolioSolver,
-    SimulatedAnnealing, Strategy, TabuSearch,
+    BranchAndBound, ExhaustiveSearch, MoveSet, PortfolioConfig, PortfolioSolver, Strategy,
 };
+
+const ANNEALING: Strategy =
+    Strategy::Annealing { initial_temperature: 2.0, final_temperature: 0.01 };
+const TABU: Strategy = Strategy::Tabu { tenure: None };
+
+/// A one-member portfolio: `restarts` restarts of `strategy`, `sweeps` each.
+fn member(strategy: Strategy, restarts: usize, sweeps: usize, seed: u64) -> PortfolioSolver {
+    PortfolioSolver::with_config(PortfolioConfig {
+        restarts,
+        sweeps,
+        seed,
+        ..PortfolioConfig::default()
+    })
+    .with_strategies(vec![strategy])
+}
 
 /// The exhaustive optimum — the conformance reference.
 fn exhaustive_optimum(model: &QuboModel) -> f64 {
@@ -56,9 +70,9 @@ fn assert_conforms(name: &str, model: &QuboModel, report: &SolveReport, optimum:
 /// drives them all.
 fn solver_families(seed: u64) -> Vec<(&'static str, Box<dyn QuboSolver>)> {
     vec![
-        ("multi-start-greedy", Box::new(MultiStartGreedy::default().with_seed(seed))),
-        ("simulated-annealing", Box::new(SimulatedAnnealing::default().with_seed(seed))),
-        ("tabu-search", Box::new(TabuSearch::default().with_seed(seed))),
+        ("greedy", Box::new(member(Strategy::Greedy, 16, 100, seed))),
+        ("simulated-annealing", Box::new(member(ANNEALING, 4, 200, seed))),
+        ("tabu-search", Box::new(member(TABU, 1, 2_000, seed))),
         ("branch-and-bound", Box::new(BranchAndBound::default())),
         ("portfolio", Box::new(PortfolioSolver::default().with_seed(seed))),
         (
@@ -194,20 +208,18 @@ fn restart_solvers_are_bit_deterministic_across_worker_counts() {
         seed: 11,
     })
     .unwrap();
-    let sa_1 = SimulatedAnnealing::default().with_seed(5).with_threads(1).solve(&model).unwrap();
-    let sa_8 = SimulatedAnnealing::default().with_seed(5).with_threads(8).solve(&model).unwrap();
+    let sa_1 = member(ANNEALING, 4, 200, 5).with_threads(1).solve(&model).unwrap();
+    let sa_8 = member(ANNEALING, 4, 200, 5).with_threads(8).solve(&model).unwrap();
     assert_eq!(sa_1.solution, sa_8.solution);
     assert_eq!(sa_1.objective.to_bits(), sa_8.objective.to_bits());
 
-    let greedy_1 = MultiStartGreedy::default().with_seed(5).with_threads(1).solve(&model).unwrap();
-    let greedy_8 = MultiStartGreedy::default().with_seed(5).with_threads(8).solve(&model).unwrap();
+    let greedy_1 = member(Strategy::Greedy, 16, 100, 5).with_threads(1).solve(&model).unwrap();
+    let greedy_8 = member(Strategy::Greedy, 16, 100, 5).with_threads(8).solve(&model).unwrap();
     assert_eq!(greedy_1.solution, greedy_8.solution);
     assert_eq!(greedy_1.objective.to_bits(), greedy_8.objective.to_bits());
 
-    let tabu_1 =
-        TabuSearch::default().with_seed(5).with_restarts(4).with_threads(1).solve(&model).unwrap();
-    let tabu_4 =
-        TabuSearch::default().with_seed(5).with_restarts(4).with_threads(4).solve(&model).unwrap();
+    let tabu_1 = member(TABU, 4, 2_000, 5).with_threads(1).solve(&model).unwrap();
+    let tabu_4 = member(TABU, 4, 2_000, 5).with_threads(4).solve(&model).unwrap();
     assert_eq!(tabu_1.solution, tabu_4.solution);
     assert_eq!(tabu_1.objective.to_bits(), tabu_4.objective.to_bits());
 }

@@ -20,44 +20,16 @@
 #![allow(clippy::needless_range_loop)]
 
 use qhdcd::qubo::generate::{random_qubo, RandomQuboConfig};
-use qhdcd::qubo::{QuboModel, QuboSolver};
+use qhdcd::qubo::{Budget, LocalFieldState, QuboModel, QuboSolver};
+use qhdcd::solvers::local_search::{descend, pair_aware_descend_state};
 use qhdcd::solvers::runtime::restart_stream_seed;
-use qhdcd::solvers::{SimulatedAnnealing, TabuSearch};
+use qhdcd::solvers::{PortfolioConfig, PortfolioSolver, Strategy};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
 fn instance(n: usize, density: f64, seed: u64) -> QuboModel {
     random_qubo(&RandomQuboConfig { num_variables: n, density, coefficient_range: 1.0, seed })
         .unwrap()
-}
-
-/// Seed implementation of greedy (best-improvement) descent.
-fn naive_greedy_descent(
-    model: &QuboModel,
-    solution: Vec<bool>,
-    max_passes: usize,
-) -> (Vec<bool>, f64) {
-    let mut x = solution;
-    let mut energy = model.evaluate(&x).unwrap();
-    for _ in 0..max_passes {
-        let mut best_delta = 0.0f64;
-        let mut best_var: Option<usize> = None;
-        for i in 0..x.len() {
-            let delta = model.flip_delta(&x, i);
-            if delta < best_delta - 1e-15 {
-                best_delta = delta;
-                best_var = Some(i);
-            }
-        }
-        match best_var {
-            Some(i) => {
-                x[i] = !x[i];
-                energy += best_delta;
-            }
-            None => break,
-        }
-    }
-    (x, energy)
 }
 
 /// Seed implementation of first-improvement descent.
@@ -136,7 +108,11 @@ fn naive_pair_aware_descent(
 /// the parallel portfolio runtime), and the per-restart best is reduced by
 /// `(energy, restart index)`. A rejected `delta <= 0` short-circuit consumes
 /// no acceptance draw, exactly as in the solver.
-fn naive_simulated_annealing(model: &QuboModel, solver: &SimulatedAnnealing) -> (Vec<bool>, f64) {
+fn naive_simulated_annealing(model: &QuboModel, solver: &PortfolioSolver) -> (Vec<bool>, f64) {
+    let [Strategy::Annealing { initial_temperature, final_temperature }] = solver.strategies[..]
+    else {
+        panic!("the reference replays an annealing-only portfolio");
+    };
     let n = model.num_variables();
     let scale = model
         .linear()
@@ -145,18 +121,18 @@ fn naive_simulated_annealing(model: &QuboModel, solver: &SimulatedAnnealing) -> 
         .chain(model.quadratic_terms().map(|(_, _, w)| w.abs()))
         .fold(0.0f64, f64::max)
         .max(1e-9);
-    let t_start = solver.initial_temperature * scale;
-    let t_end = solver.final_temperature * scale;
-    let cooling = (t_end / t_start).powf(1.0 / solver.sweeps.max(1) as f64);
+    let t_start = initial_temperature * scale;
+    let t_end = final_temperature * scale;
+    let cooling = (t_end / t_start).powf(1.0 / solver.config.sweeps.max(1) as f64);
     let mut best: Option<(Vec<bool>, f64)> = None;
-    for k in 0..solver.restarts.max(1) {
-        let mut rng = ChaCha8Rng::seed_from_u64(restart_stream_seed(solver.options.seed, k as u64));
+    for k in 0..solver.config.restarts.max(1) {
+        let mut rng = ChaCha8Rng::seed_from_u64(restart_stream_seed(solver.config.seed, k as u64));
         let mut x: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
         let mut e = model.evaluate(&x).unwrap();
         let mut restart_best = x.clone();
         let mut restart_best_e = e;
         let mut temperature = t_start;
-        for _ in 0..solver.sweeps {
+        for _ in 0..solver.config.sweeps {
             for _ in 0..n {
                 let i = rng.gen_range(0..n);
                 let delta = model.flip_delta(&x, i);
@@ -188,20 +164,20 @@ fn naive_simulated_annealing(model: &QuboModel, solver: &SimulatedAnnealing) -> 
 
 /// Naive-engine implementation of the tabu-search solve loop (single restart,
 /// the default), on the production restart stream.
-fn naive_tabu(model: &QuboModel, solver: &TabuSearch) -> (Vec<bool>, f64) {
+fn naive_tabu(model: &QuboModel, solver: &PortfolioSolver) -> (Vec<bool>, f64) {
+    let [Strategy::Tabu { tenure }] = solver.strategies[..] else {
+        panic!("the reference replays a tabu-only portfolio");
+    };
     let n = model.num_variables();
-    let tenure = solver
-        .tenure
-        .unwrap_or_else(|| (n / 10).max(10).min(n / 2))
-        .min(n.saturating_sub(1))
-        .max(1);
-    let mut rng = ChaCha8Rng::seed_from_u64(restart_stream_seed(solver.options.seed, 0));
+    let tenure =
+        tenure.unwrap_or_else(|| (n / 10).max(10).min(n / 2)).min(n.saturating_sub(1)).max(1);
+    let mut rng = ChaCha8Rng::seed_from_u64(restart_stream_seed(solver.config.seed, 0));
     let random_start: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
     let (mut x, mut e) = naive_first_improvement(model, random_start, 50);
     let mut best = x.clone();
     let mut best_e = e;
     let mut tabu_until = vec![0usize; n];
-    for iter in 0..solver.iterations {
+    for iter in 0..solver.config.sweeps {
         let mut chosen: Option<(usize, f64)> = None;
         for i in 0..n {
             let delta = model.flip_delta(&x, i);
@@ -231,30 +207,12 @@ fn random_assignment(n: usize, seed: u64) -> Vec<bool> {
 }
 
 #[test]
-fn greedy_descent_walks_the_seed_trajectory() {
-    for seed in 0..5u64 {
-        let model = instance(80, 0.1, seed);
-        let start = random_assignment(80, seed ^ 0xabcd);
-        let (naive_x, naive_e) = naive_greedy_descent(&model, start.clone(), 500);
-        let (new_x, new_e) = qhdcd::qhd::refine::greedy_descent(&model, start, 500);
-        assert_eq!(new_x, naive_x, "seed={seed}");
-        assert_eq!(
-            model.evaluate(&new_x).unwrap(),
-            model.evaluate(&naive_x).unwrap(),
-            "seed={seed}"
-        );
-        assert!((new_e - naive_e).abs() < 1e-9, "seed={seed}: {new_e} vs {naive_e}");
-        assert!((model.evaluate(&new_x).unwrap() - new_e).abs() < 1e-9);
-    }
-}
-
-#[test]
 fn first_improvement_walks_the_seed_trajectory() {
     for seed in 0..5u64 {
         let model = instance(120, 0.05, seed);
         let start = random_assignment(120, seed ^ 0x1234);
         let (naive_x, naive_e) = naive_first_improvement(&model, start.clone(), 200);
-        let (new_x, new_e) = qhdcd::qhd::refine::first_improvement_descent(&model, start, 200);
+        let (new_x, new_e) = descend(&model, start, 200);
         assert_eq!(new_x, naive_x, "seed={seed}");
         assert!((new_e - naive_e).abs() < 1e-9, "seed={seed}");
         assert!((model.evaluate(&new_x).unwrap() - new_e).abs() < 1e-9);
@@ -267,7 +225,9 @@ fn pair_aware_descent_walks_the_seed_trajectory() {
         let model = instance(50, 0.15, seed);
         let start = random_assignment(50, seed ^ 0x77);
         let (naive_x, naive_e) = naive_pair_aware_descent(&model, start.clone(), 100);
-        let (new_x, new_e) = qhdcd::qhd::refine::pair_aware_descent(&model, start, 100);
+        let mut state = LocalFieldState::new(&model, start);
+        pair_aware_descend_state(&mut state, 100, &Budget::unlimited());
+        let (new_x, new_e) = state.into_solution();
         assert_eq!(new_x, naive_x, "seed={seed}");
         assert!((new_e - naive_e).abs() < 1e-9, "seed={seed}");
         assert!((model.evaluate(&new_x).unwrap() - new_e).abs() < 1e-9);
@@ -278,7 +238,16 @@ fn pair_aware_descent_walks_the_seed_trajectory() {
 fn simulated_annealing_reproduces_seed_solver_outputs() {
     for seed in 0..4u64 {
         let model = instance(60, 0.1, seed);
-        let solver = SimulatedAnnealing::default().with_seed(seed);
+        let solver = PortfolioSolver::with_config(PortfolioConfig {
+            restarts: 4,
+            sweeps: 200,
+            seed,
+            ..PortfolioConfig::default()
+        })
+        .with_strategies(vec![Strategy::Annealing {
+            initial_temperature: 2.0,
+            final_temperature: 0.01,
+        }]);
         let report = solver.solve(&model).unwrap();
         let (naive_best, naive_e) = naive_simulated_annealing(&model, &solver);
         assert_eq!(report.solution, naive_best, "seed={seed}");
@@ -295,7 +264,13 @@ fn simulated_annealing_reproduces_seed_solver_outputs() {
 fn tabu_search_reproduces_seed_solver_outputs() {
     for seed in 0..4u64 {
         let model = instance(60, 0.1, seed);
-        let solver = TabuSearch::default().with_seed(seed).with_iterations(800);
+        let solver = PortfolioSolver::with_config(PortfolioConfig {
+            restarts: 1,
+            sweeps: 800,
+            seed,
+            ..PortfolioConfig::default()
+        })
+        .with_strategies(vec![Strategy::Tabu { tenure: None }]);
         let report = solver.solve(&model).unwrap();
         let (naive_best, naive_e) = naive_tabu(&model, &solver);
         assert_eq!(report.solution, naive_best, "seed={seed}");
@@ -305,14 +280,93 @@ fn tabu_search_reproduces_seed_solver_outputs() {
 
 #[test]
 fn multi_start_greedy_is_deterministic_and_exactly_reevaluable() {
-    use qhdcd::solvers::MultiStartGreedy;
     for seed in 0..3u64 {
         let model = instance(70, 0.1, seed);
-        let a = MultiStartGreedy::default().with_seed(seed).solve(&model).unwrap();
-        let b = MultiStartGreedy::default().with_seed(seed).solve(&model).unwrap();
+        let greedy =
+            PortfolioSolver::default().with_seed(seed).with_strategies(vec![Strategy::Greedy]);
+        let a = greedy.solve(&model).unwrap();
+        let b = greedy.solve(&model).unwrap();
         assert_eq!(a.solution, b.solution);
         assert_eq!(a.objective, b.objective);
         assert!((model.evaluate(&a.solution).unwrap() - a.objective).abs() < 1e-9);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Cross-commit pin of QHD sampling.
+//
+// `QhdSolver` runs its samples on the restart runtime and refines every
+// candidate by descent. The thread-count comparison below runs the same code
+// on both sides, so these FNV-1a hashes of the report are what catches a
+// change in seeding, refinement, reduction or the work counter. They must not
+// change unless the sampling itself is meant to change.
+// ---------------------------------------------------------------------------
+
+mod qhd_sampling_pin {
+    use super::instance;
+    use qhdcd::core::formulation::{build_qubo, FormulationConfig};
+    use qhdcd::graph::generators;
+    use qhdcd::qhd::{Backend, QhdSolver};
+    use qhdcd::qubo::{Completion, QuboModel, QuboSolver};
+
+    fn report_hash(model: &QuboModel, solver: &QhdSolver) -> u64 {
+        let report = solver.solve(model).unwrap();
+        let completion = match report.completion {
+            Completion::Full => u64::MAX,
+            Completion::Truncated { completed_restarts } => completed_restarts,
+        };
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let words = report.solution.iter().map(|&bit| u64::from(bit)).chain([
+            report.objective.to_bits(),
+            report.iterations,
+            completion,
+        ]);
+        for word in words {
+            for byte in word.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    fn assert_pinned(name: &str, model: &QuboModel, solver: QhdSolver, expected: u64) {
+        for threads in [1usize, 2] {
+            let config = qhdcd::qhd::QhdConfig { threads, ..solver.config().clone() };
+            let hash = report_hash(model, &QhdSolver::with_config(config));
+            assert_eq!(hash, expected, "{name} at {threads} thread(s): {hash:#018x}");
+        }
+    }
+
+    #[test]
+    fn qhd_sampling_is_pinned_bit_for_bit() {
+        let exact = instance(8, 0.5, 3);
+        let solver =
+            QhdSolver::builder().backend(Backend::Exact).samples(4).steps(60).seed(3).build();
+        assert_pinned("exact", &exact, solver, 0x00e3_c48c_38df_922b);
+
+        let mean_field = instance(40, 0.15, 5);
+        let solver =
+            QhdSolver::builder().backend(Backend::MeanField).samples(4).steps(60).seed(5).build();
+        assert_pinned("mean-field", &mean_field, solver, 0x6489_6a0c_345e_cc5c);
+
+        // A k = 8 community-detection QUBO: one-hot slots, refined by the
+        // pair-aware descent.
+        let graph = generators::karate_club();
+        let cd = build_qubo(&graph, &FormulationConfig::with_communities(8)).unwrap();
+        let solver = QhdSolver::builder().samples(3).steps(40).seed(7).build();
+        assert_pinned("cd-qubo k=8", cd.model(), solver, 0xe951_dee5_57dc_4e45);
+
+        // Above 200 000 couplings refinement switches to single-flip descent.
+        let dense = instance(640, 1.0, 11);
+        assert!(dense.num_quadratic_terms() > 200_000);
+        let solver = QhdSolver::builder()
+            .backend(Backend::MeanField)
+            .samples(2)
+            .steps(10)
+            .shots(4)
+            .seed(11)
+            .build();
+        assert_pinned("dense 1-opt", &dense, solver, 0xd68d_4202_9ffc_1d3d);
     }
 }
 
